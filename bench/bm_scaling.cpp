@@ -13,6 +13,7 @@
 
 #include "aa/algorithm1.hpp"
 #include "aa/algorithm2.hpp"
+#include "alloc/oracle.hpp"
 #include "alloc/super_optimal.hpp"
 #include "sim/workload.hpp"
 
@@ -69,8 +70,11 @@ void BM_SuperOptimalGreedy_ScaleC(benchmark::State& state) {
       static_cast<aa::util::Resource>(state.range(0));
   const auto instance = sized_instance(64, 8, capacity);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(aa::alloc::super_optimal_greedy(
-        instance.threads, instance.num_servers, instance.capacity));
+    benchmark::DoNotOptimize(aa::alloc::allocate_greedy(
+        instance.threads,
+        static_cast<aa::util::Resource>(instance.num_servers) *
+            instance.capacity,
+        instance.capacity));
   }
 }
 BENCHMARK(BM_SuperOptimalGreedy_ScaleC)

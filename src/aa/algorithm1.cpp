@@ -244,7 +244,7 @@ SolveResult solve_algorithm1(const Instance& instance) {
   const obs::ScopedPhase obs_phase(obs::metric::kPhaseAlg1Solve);
   obs::count(obs::metric::kAlg1Solves);
   instance.validate();
-  alloc::SuperOptimalResult so = alloc::super_optimal_routed(
+  alloc::SuperOptimalResult so = alloc::super_optimal(
       instance.threads, instance.num_servers, instance.capacity);
   std::vector<util::Linearized> linearized;
   {

@@ -106,7 +106,7 @@ SolveResult solve_algorithm2(const Instance& instance) {
   const obs::ScopedPhase obs_phase(obs::metric::kPhaseAlg2Solve);
   obs::count(obs::metric::kAlg2Solves);
   instance.validate();
-  alloc::SuperOptimalResult so = alloc::super_optimal_routed(
+  alloc::SuperOptimalResult so = alloc::super_optimal(
       instance.threads, instance.num_servers, instance.capacity);
   std::vector<util::Linearized> linearized;
   {

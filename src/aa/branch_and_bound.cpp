@@ -39,8 +39,6 @@ class Search {
       for (std::size_t k = t; k < n; ++k) {
         suffix.push_back(instance.threads[order_[k]]);
       }
-      // Deliberately NOT routed through the strategy seam: pruning needs a
-      // true upper bound, and the price strategy's F can dip below F_hat.
       suffix_bound_[t] = alloc::super_optimal(suffix, instance.num_servers,
                                               instance.capacity)
                              .utility;
@@ -76,11 +74,9 @@ class Search {
   [[nodiscard]] double group_value(const std::vector<std::size_t>& group)
       const {
     if (group.empty()) return 0.0;
-    std::vector<UtilityPtr> members;
-    members.reserve(group.size());
-    for (const std::size_t i : group) members.push_back(instance_.threads[i]);
-    return alloc::allocate_greedy(members, instance_.capacity,
-                                  instance_.capacity)
+    return alloc::allocate_bisection_soa(instance_.threads, group,
+                                         instance_.capacity,
+                                         instance_.capacity)
         .total_utility;
   }
 
@@ -91,13 +87,9 @@ class Search {
     best_.alloc.assign(instance_.num_threads(), 0.0);
     for (std::size_t j = 0; j < groups_.size(); ++j) {
       if (groups_[j].empty()) continue;
-      std::vector<UtilityPtr> members;
-      members.reserve(groups_[j].size());
-      for (const std::size_t i : groups_[j]) {
-        members.push_back(instance_.threads[i]);
-      }
-      const alloc::AllocationResult allocation = alloc::allocate_greedy(
-          members, instance_.capacity, instance_.capacity);
+      const alloc::AllocationResult allocation = alloc::allocate_bisection_soa(
+          instance_.threads, groups_[j], instance_.capacity,
+          instance_.capacity);
       for (std::size_t k = 0; k < groups_[j].size(); ++k) {
         best_.server[groups_[j][k]] = j;
         best_.alloc[groups_[j][k]] =

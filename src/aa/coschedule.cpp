@@ -21,9 +21,9 @@ void check_shape(const Instance& instance) {
 /// Exact allocation for the pair (a, b) on one server.
 alloc::AllocationResult solve_pair(const Instance& instance, std::size_t a,
                                    std::size_t b) {
-  const std::vector<UtilityPtr> pair{instance.threads[a],
-                                     instance.threads[b]};
-  return alloc::allocate_greedy(pair, instance.capacity, instance.capacity);
+  const std::size_t pair[] = {a, b};
+  return alloc::allocate_bisection_soa(instance.threads, pair,
+                                       instance.capacity, instance.capacity);
 }
 
 /// Precomputed pair values for all (a, b), a < b.

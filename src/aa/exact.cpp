@@ -53,11 +53,8 @@ class PartitionSearch {
     std::vector<double> alloc(current_.size(), 0.0);
     for (const auto& group : groups) {
       if (group.empty()) continue;
-      std::vector<UtilityPtr> members;
-      members.reserve(group.size());
-      for (const std::size_t i : group) members.push_back(instance_.threads[i]);
-      const alloc::AllocationResult result = alloc::allocate_greedy(
-          members, instance_.capacity, instance_.capacity);
+      const alloc::AllocationResult result = alloc::allocate_bisection_soa(
+          instance_.threads, group, instance_.capacity, instance_.capacity);
       total += result.total_utility;
       for (std::size_t k = 0; k < group.size(); ++k) {
         alloc[group[k]] = static_cast<double>(result.amounts[k]);

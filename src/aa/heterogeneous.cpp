@@ -7,7 +7,6 @@
 #include <stdexcept>
 
 #include "alloc/allocator.hpp"
-#include "alloc/super_optimal.hpp"
 #include "utility/linearized.hpp"
 
 namespace aa::core {
@@ -91,7 +90,7 @@ SolveResult solve_algorithm2_hetero(const HeteroInstance& instance) {
 
   // Pooled super-optimal bound: sum of allocations <= total capacity, each
   // thread bounded by the largest single server it could land on.
-  const alloc::AllocationResult so = alloc::allocate_pooled_routed(
+  const alloc::AllocationResult so = alloc::allocate_bisection_soa(
       instance.threads, instance.total_capacity(), instance.max_capacity());
   const std::vector<util::Linearized> linearized =
       util::linearize(instance.threads, so.amounts);
@@ -170,13 +169,14 @@ double exact_hetero_recurse(const HeteroInstance& instance,
   if (thread == instance.num_threads()) {
     double total = 0.0;
     for (std::size_t j = 0; j < instance.num_servers(); ++j) {
-      std::vector<UtilityPtr> members;
+      std::vector<std::size_t> members;
       for (std::size_t i = 0; i < labels.size(); ++i) {
-        if (labels[i] == j) members.push_back(instance.threads[i]);
+        if (labels[i] == j) members.push_back(i);
       }
       if (members.empty()) continue;
-      total += alloc::allocate_greedy(members, instance.capacities[j],
-                                      instance.capacities[j])
+      total += alloc::allocate_bisection_soa(instance.threads, members,
+                                             instance.capacities[j],
+                                             instance.capacities[j])
                    .total_utility;
     }
     return total;

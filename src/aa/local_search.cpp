@@ -92,13 +92,9 @@ class ServerState {
     out.alloc.assign(instance_.num_threads(), 0.0);
     for (std::size_t j = 0; j < members_.size(); ++j) {
       if (members_[j].empty()) continue;
-      std::vector<UtilityPtr> utils;
-      utils.reserve(members_[j].size());
-      for (const std::size_t i : members_[j]) {
-        utils.push_back(instance_.threads[i]);
-      }
-      const alloc::AllocationResult result = alloc::allocate_greedy(
-          utils, instance_.capacity, instance_.capacity);
+      const alloc::AllocationResult result = alloc::allocate_bisection_soa(
+          instance_.threads, members_[j], instance_.capacity,
+          instance_.capacity);
       for (std::size_t k = 0; k < members_[j].size(); ++k) {
         out.server[members_[j][k]] = j;
         out.alloc[members_[j][k]] = static_cast<double>(result.amounts[k]);
@@ -110,11 +106,9 @@ class ServerState {
  private:
   [[nodiscard]] double evaluate(const std::vector<std::size_t>& group) const {
     if (group.empty()) return 0.0;
-    std::vector<UtilityPtr> utils;
-    utils.reserve(group.size());
-    for (const std::size_t i : group) utils.push_back(instance_.threads[i]);
-    return alloc::allocate_greedy(utils, instance_.capacity,
-                                  instance_.capacity)
+    return alloc::allocate_bisection_soa(instance_.threads, group,
+                                         instance_.capacity,
+                                         instance_.capacity)
         .total_utility;
   }
 

@@ -111,7 +111,7 @@ MultiAssignment allocate_within_servers(
       for (const std::size_t i : group) {
         parts.push_back(instance.threads[i].parts[r]);
       }
-      const alloc::AllocationResult result = alloc::allocate_greedy(
+      const alloc::AllocationResult result = alloc::allocate_bisection_soa(
           parts, instance.capacities[r], instance.capacities[r]);
       for (std::size_t k = 0; k < group.size(); ++k) {
         out.alloc[group[k]][r] = static_cast<double>(result.amounts[k]);
@@ -150,7 +150,7 @@ MultiSolveResult solve_algorithm2_multi(const MultiInstance& instance) {
       parts.push_back(thread.parts[r]);
     }
     const alloc::SuperOptimalResult so =
-        alloc::super_optimal_routed(parts, m, instance.capacities[r]);
+        alloc::super_optimal(parts, m, instance.capacities[r]);
     f_hat += so.utility;
     for (std::size_t i = 0; i < n; ++i) c_hat[i][r] = so.c_hat[i];
   }

@@ -28,11 +28,8 @@ Assignment reoptimize_allocations(const Instance& instance,
   for (const auto& group : groups) {
     if (group.empty()) continue;
     ++reoptimized;
-    std::vector<UtilityPtr> members;
-    members.reserve(group.size());
-    for (const std::size_t i : group) members.push_back(instance.threads[i]);
-    const alloc::AllocationResult result = alloc::allocate_greedy(
-        members, instance.capacity, instance.capacity);
+    const alloc::AllocationResult result = alloc::allocate_bisection_soa(
+        instance.threads, group, instance.capacity, instance.capacity);
     for (std::size_t k = 0; k < group.size(); ++k) {
       out.alloc[group[k]] = static_cast<double>(result.amounts[k]);
     }

@@ -1,44 +1,36 @@
 #pragma once
 
-// Single-pool concave resource allocation substrate (paper Section II
-// related work; used as a black box by Section V's Definition V.1).
+// Single-pool concave resource allocation (paper Section II related work;
+// used as a black box by Section V's Definition V.1).
 //
 // Problem: given threads with concave utility functions and a pool of `pool`
 // integer resource units, choose allocations a_i in [0, min(cap_i, C_i)]
 // with sum a_i <= pool maximizing sum f_i(a_i).
 //
-// Two exact algorithms are provided:
-//  * allocate_greedy   — marginal-gain heap greedy (Fox et al. [12] style),
-//                        O((n + pool) log n). Exact because concavity makes
-//                        the per-unit marginal sequence nonincreasing, so the
-//                        greedy exchange argument applies.
-//  * allocate_bisection— threshold search on the marginal value (Galil [16]
-//                        style), O(n (log pool)^2 + n log n): binary-searches
-//                        the Lagrange multiplier lambda, then distributes the
-//                        residual units across the lambda-plateau. This is
-//                        the algorithm the paper's complexity bounds cite.
-//  * allocate_dp_exact — O(n pool^2) dynamic program; reference oracle for
-//                        tests on small pools (works for arbitrary, even
-//                        non-concave, tabulated utilities).
-//
-// The super-optimal allocation of Definition V.1 is the same routine with
-// pool = m * C (see super_optimal.hpp).
+// One exact allocator serves every production caller: the super-optimal
+// allocation (pool = m * C, see super_optimal.hpp), the per-server
+// re-allocation after placement (pool = C, see aa/refine.hpp), and the
+// exact, branch-and-bound, local-search, co-scheduling, heterogeneous and
+// multi-resource solvers. The reference algorithms it is checked against
+// (heap greedy, literal bisection, dynamic program) live in
+// alloc/oracle.hpp, which only tests and benchmarks link.
 
+#include <cstddef>
+#include <cstdint>
 #include <limits>
 #include <span>
 #include <vector>
 
 #include "utility/utility_function.hpp"
 
-namespace aa::support {
-class ThreadPool;
-}  // namespace aa::support
-
 namespace aa::alloc {
 
 struct AllocationResult {
   std::vector<util::Resource> amounts;  ///< One allocation per thread.
   double total_utility = 0.0;           ///< sum_i f_i(amounts[i]).
+  /// Price-bisection iterations the allocator ran (0 for the oracles and
+  /// for the trivial saturate-everyone / nothing-to-allocate cases).
+  std::int64_t bisect_iterations = 0;
 };
 
 /// Per-thread allocation cap: each thread may receive at most
@@ -46,48 +38,21 @@ struct AllocationResult {
 inline constexpr util::Resource kNoCap =
     std::numeric_limits<util::Resource>::max();
 
-/// Exact heap greedy. Requires concave utilities (nonincreasing marginals);
-/// behaviour on non-concave inputs is unspecified (use allocate_dp_exact).
-[[nodiscard]] AllocationResult allocate_greedy(
-    std::span<const util::UtilityPtr> threads, util::Resource pool,
-    util::Resource per_thread_cap = kNoCap);
-
-/// Exact threshold bisection; same contract as allocate_greedy.
-[[nodiscard]] AllocationResult allocate_bisection(
-    std::span<const util::UtilityPtr> threads, util::Resource pool,
-    util::Resource per_thread_cap = kNoCap);
-
-/// Exact dynamic program over integer units (reference oracle).
-[[nodiscard]] AllocationResult allocate_dp_exact(
-    std::span<const util::UtilityPtr> threads, util::Resource pool,
-    util::Resource per_thread_cap = kNoCap);
-
-/// Exact threshold bisection restructured around structure-of-arrays
-/// marginal grids (raw tabulated grids where available) with per-thread
-/// unit-bracket narrowing, optionally fanning the per-lambda probes across
-/// `workers` via support::parallel_chunked_reduce. Every reduced quantity is
-/// an integer count or an exact max, and the chunk decomposition depends only
-/// on n, so the result is bit-identical to allocate_bisection for every
-/// input and every worker count (nullptr runs all probes on the caller).
+/// Exact threshold bisection on the pool's dual price over
+/// structure-of-arrays marginal grids, started at an order-statistic price
+/// bracket (docs/ALGORITHMS.md "Single-pool allocator"). Requires concave
+/// utilities (nonincreasing marginals). Bit-identical to the
+/// allocate_bisection oracle for every input.
 [[nodiscard]] AllocationResult allocate_bisection_soa(
     std::span<const util::UtilityPtr> threads, util::Resource pool,
-    util::Resource per_thread_cap = kNoCap,
-    support::ThreadPool* workers = nullptr);
+    util::Resource per_thread_cap = kNoCap);
 
-/// Single-price variant (price discovery in the style of Agrawal/Boyd et
-/// al.): the same dual bisection, but it stops once the price bracket is
-/// narrower than `price_tol * (1 + max_marginal)` instead of running to
-/// machine precision. The allocation is always feasible for the pooled
-/// problem, so its utility never exceeds the exact optimum F_hat, and the
-/// shortfall is bounded by the unresolved plateau sliver:
-///
-///   utility >= F_hat - price_tol * (1 + max_marginal) * pool
-///
-/// (up to float rounding in the final summation). NOT a valid upper bound
-/// on F_hat, so branch-and-bound pruning must keep using the exact paths.
-[[nodiscard]] AllocationResult allocate_price(
-    std::span<const util::UtilityPtr> threads, util::Resource pool,
-    util::Resource per_thread_cap = kNoCap, double price_tol = 1e-9,
-    support::ThreadPool* workers = nullptr);
+/// Same, over the subset threads[members[0]], threads[members[1]], ...:
+/// amounts[k] belongs to threads[members[k]]. Saves callers that allocate
+/// per server a copy of the utility handles.
+[[nodiscard]] AllocationResult allocate_bisection_soa(
+    std::span<const util::UtilityPtr> threads,
+    std::span<const std::size_t> members, util::Resource pool,
+    util::Resource per_thread_cap = kNoCap);
 
 }  // namespace aa::alloc

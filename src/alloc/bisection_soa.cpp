@@ -1,7 +1,7 @@
 #include "alloc/allocator.hpp"
 
-// Flat-memory rewrite of allocate_bisection (the hot path behind
-// super_optimal; see docs/ALGORITHMS.md "Strategy seam"). Three ideas:
+// The single-pool allocator (docs/ALGORITHMS.md "Single-pool allocator"):
+// a flat-memory threshold bisection on the pool's dual price. Three ideas:
 //
 //  1. Flat marginal grids, packed bisection state. For TabulatedUtility
 //     (the workhorse representation) the marginal is read straight off the
@@ -12,43 +12,44 @@
 //     (grid pointer, cap, first/last marginal, unit bracket) packs into one
 //     64-byte record, so a probe costs one cache line of bookkeeping plus
 //     the grid touches — even late in the bisection when the surviving
-//     threads are scattered.
+//     threads are scattered. The tail marginal is read lazily, by the
+//     first probe that needs it.
 //
-//  2. Bracket narrowing with active-set pinning. Every lambda the bisection
+//  2. An order-statistic price start. Let lo0 be the (pool+1)-th largest
+//     positive first marginal (0 when fewer than pool+1 threads have one).
+//     At price lo0 at least pool+1 threads take a unit, so
+//     count(lo0) > pool: lo0 is a valid lower end of the price bracket. A
+//     thread whose first marginal is below lo0 takes 0 units at every
+//     later price, so it never enters a sweep. On a refine server that holds most of the instance this
+//     leaves about pool+1 threads active instead of all of them.
+//
+//  3. Bracket narrowing with active-set pinning. Every lambda the bisection
 //     probes lies inside the current [lo, hi] price bracket, so each
 //     thread's answer lies inside [units(hi), units(lo)] from the previous
 //     probes. `units_at_or_above` is a pure function of (thread, lambda), so
 //     searching the narrowed unit bracket returns the identical value at a
 //     fraction of the cost. Once a thread's unit bracket collapses to a
 //     point its answer is constant for every remaining lambda: the thread
-//     is *pinned* — its contribution folds into a per-chunk constant and
-//     later sweeps skip it entirely. Brackets collapse geometrically, so
-//     the per-iteration cost decays from O(n) toward O(active).
+//     is *pinned* — its contribution folds into a constant and later
+//     sweeps skip it entirely. Brackets collapse geometrically, so the
+//     per-iteration cost decays from O(active) toward O(unresolved).
 //
-//  3. Deterministic fan-out. Per-lambda probes are independent; chunks of
-//     fixed width (boundaries depend only on n, never on the worker count)
-//     run across support::parallel_for, and the unit count is the serial
-//     chunk-order sum of per-chunk integer partials — order-independent, so
-//     the result is bit-identical to the serial reference for every worker
-//     count. The equivalence wall in tests/super_optimal_equivalence_test.cpp
-//     holds exactly, not approximately.
-//
-// The lambda schedule replicates allocate_bisection's literally (same
-// initial bracket, same midpoints, same stop rule, same plateau constant),
-// so `exact` mode is a drop-in replacement. `price` mode (allocate_price)
-// reuses everything but stops the dual bisection at a documented tolerance
-// — see the contract in alloc/allocator.hpp.
+// Apart from the lower start, the lambda schedule is the reference
+// bisection's (same upper end, midpoints, stop rule and plateau constant),
+// and both runs converge to a sliver around the same threshold marginal, so
+// the result is bit-identical to the allocate_bisection oracle
+// (alloc/oracle.hpp) — tests/super_optimal_equivalence_test.cpp holds that
+// exactly, not approximately.
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
+#include <functional>
 #include <limits>
 #include <queue>
 #include <stdexcept>
 #include <vector>
 
-#include "obs/registry.hpp"
-#include "obs/session.hpp"
-#include "support/thread_pool.hpp"
 #include "utility/utility_function.hpp"
 
 namespace aa::alloc {
@@ -58,39 +59,6 @@ namespace {
 using util::Resource;
 using util::UtilityPtr;
 
-// Fan out only when the probe sweep is wide enough to amortize queueing, and
-// chunk by a fixed width: boundaries must depend only on n, never on the
-// worker count, or determinism across pool sizes dies.
-constexpr std::size_t kMinParallelThreads = 2048;
-constexpr std::size_t kChunkWidth = 1024;
-
-/// Chunked reduce over [0, n) that degrades to a single inline call when the
-/// pool is absent, single-threaded, or the range is small. Both paths
-/// evaluate the same chunks' worth of work and combine exactly representable
-/// values (integer sums / double max), so they agree bit-for-bit.
-template <typename T, typename MapFn, typename CombineFn>
-T reduce_over(support::ThreadPool* workers, std::size_t n, T init,
-              const MapFn& map, const CombineFn& combine) {
-  if (workers != nullptr && workers->worker_count() > 1 &&
-      n >= kMinParallelThreads) {
-    return support::parallel_chunked_reduce(*workers, std::size_t{0}, n,
-                                            kChunkWidth, std::move(init), map,
-                                            combine);
-  }
-  return combine(std::move(init), map(0, n));
-}
-
-double serial_total(std::span<const UtilityPtr> threads,
-                    const std::vector<Resource>& amounts) {
-  // Left-to-right on the caller's thread, exactly like the serial
-  // reference's total_of — a chunked float sum would change the bits.
-  double total = 0.0;
-  for (std::size_t i = 0; i < threads.size(); ++i) {
-    total += threads[i]->value(static_cast<double>(amounts[i]));
-  }
-  return total;
-}
-
 /// Per-thread bisection state, packed so one sweep step touches one cache
 /// line of bookkeeping. 8 x 8 bytes = 64 bytes exactly.
 struct Hot {
@@ -98,7 +66,7 @@ struct Hot {
   const util::UtilityFunction* func;
   Resource cap;
   double m1;           // marginal(1); 0 when cap < 1
-  double mlast;        // marginal(cap); 0 when cap < 1
+  double mlast;        // marginal(cap) once a probe needed it; NaN before
   Resource units_lo;   // units at price lo; valid iff lo_exact
   Resource units_hi;   // units at price hi; valid iff hi_exact
   Resource units_mid;  // most recent probe, owned by the pending side
@@ -114,16 +82,19 @@ struct Hot {
 
 /// Largest k in [lb, ub] with marginal(k) >= lambda. Requires the
 /// unconstrained answer (largest such k in [0, cap], or 0) to lie in
-/// [lb, ub]; under that bracket invariant the result equals the serial
+/// [lb, ub]; under that bracket invariant the result equals the reference
 /// units_at_or_above regardless of how tight the bracket is. The two
 /// endpoint shortcuts resolve the common cases in O(1): lambda above the
-/// first marginal means the serial early-out (answer 0, so lb == 0), and
+/// first marginal means the reference early-out (answer 0, so lb == 0), and
 /// lambda at or below the last marginal means every unit clears it
-/// (answer cap, so ub == cap, by nonincreasing marginals).
-[[nodiscard]] Resource probe(const Hot& h, double lambda, Resource lb,
+/// (answer cap, so ub == cap, by nonincreasing marginals). The tail
+/// marginal is read by the first probe that gets past the first shortcut:
+/// a thread that answers 0 at every probe never touches its grid's tail.
+[[nodiscard]] Resource probe(Hot& h, double lambda, Resource lb,
                              Resource ub) {
   if (lb == ub) return lb;
   if (lambda > h.m1) return 0;
+  if (std::isnan(h.mlast)) h.mlast = marginal_of(h, h.cap);
   if (lambda <= h.mlast) return h.cap;
   Resource lo = lb;
   Resource hi = ub;
@@ -144,185 +115,125 @@ struct Hot {
 /// it (and a single tail pass after the loop handles threads still active).
 enum class Side : std::uint8_t { kNone, kLo, kHi };
 
-/// Per-chunk bisection state. `active` lists the threads whose unit bracket
-/// is still open; once it collapses the thread's (now constant) contribution
-/// moves into `pinned` and the thread drops off the list for good.
-struct ChunkState {
-  std::vector<std::size_t> active;
-  Resource pinned = 0;
-  Resource partial = 0;
-};
-
-struct CoreConfig {
-  support::ThreadPool* workers = nullptr;
-  bool price_mode = false;
-  double price_tol = 1e-9;
-};
-
-AllocationResult run_bisection_soa(std::span<const UtilityPtr> threads,
-                                   Resource pool, Resource per_thread_cap,
-                                   const CoreConfig& config) {
+/// The allocator over n threads, thread k being *at(k). Left-to-right
+/// totals and index-order plateau/greedy tie-breaks match the reference.
+template <typename At>
+AllocationResult run_bisection(std::size_t n, const At& at, Resource pool,
+                               Resource per_thread_cap) {
   if (pool < 0) throw std::invalid_argument("allocate: negative pool");
-  for (const auto& t : threads) {
-    if (t == nullptr) throw std::invalid_argument("allocate: null utility");
-  }
-  const std::size_t n = threads.size();
-  std::vector<Resource> amounts(n, 0);
-
   std::vector<Hot> hot(n);
-  bool lo_exact = false;
-  bool hi_exact = false;
-  const auto bracket_lb = [&](const Hot& h) {
-    return hi_exact ? h.units_hi : 0;
-  };
-  const auto bracket_ub = [&](const Hot& h) {
-    return lo_exact ? h.units_lo : h.cap;
+  double max_marginal = 0.0;
+  Resource total_cap = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const util::UtilityFunction* f = at(i);
+    if (f == nullptr) throw std::invalid_argument("allocate: null utility");
+    Hot& h = hot[i];
+    h.func = f;
+    h.grid = f->tabulated_grid();
+    h.cap = std::min(f->capacity(), per_thread_cap);
+    h.mlast = std::numeric_limits<double>::quiet_NaN();
+    h.units_lo = 0;
+    h.units_hi = 0;
+    h.units_mid = 0;
+    total_cap += h.cap;
+    h.m1 = h.cap >= 1 ? marginal_of(h, 1) : 0.0;
+    max_marginal = std::max(max_marginal, h.m1);
+  }
+
+  std::vector<Resource> amounts(n, 0);
+  const auto finish = [&] {
+    // Left to right, exactly like the reference's total_of; a grid entry
+    // is value() at that integer point, read without the virtual call.
+    double total = 0.0;
+    for (std::size_t i = 0; i < n; ++i) {
+      const Hot& h = hot[i];
+      total += h.grid != nullptr
+                   ? h.grid[static_cast<std::size_t>(amounts[i])]
+                   : h.func->value(static_cast<double>(amounts[i]));
+    }
+    return AllocationResult{std::move(amounts), total};
   };
 
-  struct Setup {
-    double max_marginal = 0.0;
-    Resource total_cap = 0;
-  };
-  const Setup setup = reduce_over(
-      config.workers, n, Setup{},
-      [&](std::size_t from, std::size_t to) {
-        Setup part;
-        for (std::size_t i = from; i < to; ++i) {
-          const util::UtilityFunction* f = threads[i].get();
-          Hot& h = hot[i];
-          h.func = f;
-          h.grid = f->tabulated_grid();
-          h.cap = std::min(f->capacity(), per_thread_cap);
-          h.units_lo = 0;
-          h.units_hi = 0;
-          h.units_mid = 0;
-          part.total_cap += h.cap;
-          if (h.cap >= 1) {
-            h.m1 = marginal_of(h, 1);
-            h.mlast = marginal_of(h, h.cap);
-            part.max_marginal = std::max(part.max_marginal, h.m1);
-          } else {
-            h.m1 = 0.0;
-            h.mlast = 0.0;
-          }
-        }
-        return part;
-      },
-      [](Setup acc, const Setup& part) {
-        acc.max_marginal = std::max(acc.max_marginal, part.max_marginal);
-        acc.total_cap += part.total_cap;
-        return acc;
-      });
-
-  // Trivial cases, mirroring the serial reference: everyone saturates (still
+  // Trivial cases, mirroring the reference: everyone saturates (still
   // trimming zero-marginal tails), or nothing is worth allocating.
-  if (setup.total_cap <= pool) {
-    (void)reduce_over(
-        config.workers, n, Resource{0},
-        [&](std::size_t from, std::size_t to) {
-          for (std::size_t i = from; i < to; ++i) {
-            amounts[i] = probe(hot[i], std::numeric_limits<double>::min(), 0,
-                               hot[i].cap);
-          }
-          return Resource{0};
-        },
-        [](Resource acc, Resource part) { return acc + part; });
-    const double total = serial_total(threads, amounts);
-    return {std::move(amounts), total};
+  if (total_cap <= pool) {
+    for (std::size_t i = 0; i < n; ++i) {
+      amounts[i] = probe(hot[i], std::numeric_limits<double>::min(), 0,
+                         hot[i].cap);
+    }
+    return finish();
   }
-  if (setup.max_marginal <= 0.0) {
-    const double total = serial_total(threads, amounts);
-    return {std::move(amounts), total};
-  }
+  if (max_marginal <= 0.0) return finish();
 
-  // Chunked active sets. Threads with no capacity or a nonpositive first
-  // marginal contribute 0 units at every probed price (all midpoints are
-  // > 0, so the serial early-out fires for them) and their unit bracket is
-  // already the point {0}; they never enter a sweep.
-  const std::size_t num_chunks = (n + kChunkWidth - 1) / kChunkWidth;
-  std::vector<ChunkState> chunks(num_chunks);
-  for (std::size_t c = 0; c < num_chunks; ++c) {
-    const std::size_t from = c * kChunkWidth;
-    const std::size_t to = std::min(n, from + kChunkWidth);
-    chunks[c].active.reserve(to - from);
-    for (std::size_t i = from; i < to; ++i) {
-      if (hot[i].cap >= 1 && hot[i].m1 > 0.0) chunks[c].active.push_back(i);
+  // Order-statistic start (idea 2). Threads without a positive first
+  // marginal contribute 0 units at every probed price (every midpoint is
+  // > 0); with lo0 > 0 neither do threads whose first marginal is below it.
+  double lo = 0.0;
+  {
+    std::vector<double> firsts;
+    firsts.reserve(n);
+    for (const Hot& h : hot) {
+      if (h.m1 > 0.0) firsts.push_back(h.m1);
+    }
+    const auto rank = static_cast<std::size_t>(pool);
+    if (firsts.size() > rank) {
+      const auto nth = firsts.begin() + static_cast<std::ptrdiff_t>(rank);
+      std::nth_element(firsts.begin(), nth, firsts.end(),
+                       std::greater<double>());
+      lo = *nth;
     }
   }
+  std::vector<std::size_t> active;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (hot[i].m1 > 0.0 && hot[i].m1 >= lo) active.push_back(i);
+  }
 
-  // One sweep of one chunk at price `mid`. First folds the previous
-  // iteration's deferred commit into this thread's bracket, then either pins
-  // the thread (bracket collapsed: its units are constant for every
-  // remaining price, including the final lo/hi — the stored bracket
-  // endpoints stay exact) or probes the narrowed bracket. `partial` is the
-  // chunk's exact integer unit count at `mid`.
-  const auto sweep_chunk = [&](std::size_t c, double mid, Side commit) {
-    ChunkState& chunk = chunks[c];
-    std::vector<std::size_t>& act = chunk.active;
-    const bool lo_valid = lo_exact;
-    const bool hi_valid = hi_exact;
-    Resource partial = chunk.pinned;
+  bool lo_exact = false;
+  bool hi_exact = false;
+  Resource pinned = 0;
+  // One sweep at price `mid`. First folds the previous iteration's deferred
+  // commit into this thread's bracket, then either pins the thread (bracket
+  // collapsed: its units are constant for every remaining price, including
+  // the final lo/hi — the stored bracket endpoints stay exact) or probes the
+  // narrowed bracket. Returns the exact integer unit count at `mid`.
+  const auto sweep = [&](double mid, Side commit) {
+    Resource count = pinned;
     std::size_t keep = 0;
-    const std::size_t live = act.size();
+    const std::size_t live = active.size();
     for (std::size_t r = 0; r < live; ++r) {
-      const std::size_t i = act[r];
+      const std::size_t i = active[r];
       // Pull the next survivors' records in while this probe's grid reads
       // are in flight; by mid-bisection the active list is sparse and each
       // record is its own cache line.
-      if (r + 2 < live) __builtin_prefetch(&hot[act[r + 2]]);
+      if (r + 2 < live) __builtin_prefetch(&hot[active[r + 2]]);
       Hot& h = hot[i];
       if (commit == Side::kLo) {
         h.units_lo = h.units_mid;
       } else if (commit == Side::kHi) {
         h.units_hi = h.units_mid;
       }
-      const Resource lb = hi_valid ? h.units_hi : 0;
-      const Resource ub = lo_valid ? h.units_lo : h.cap;
+      const Resource lb = hi_exact ? h.units_hi : 0;
+      const Resource ub = lo_exact ? h.units_lo : h.cap;
       if (lb == ub) {
-        chunk.pinned += lb;
-        partial += lb;
+        pinned += lb;
+        count += lb;
         continue;
       }
       const Resource value = probe(h, mid, lb, ub);
       h.units_mid = value;
-      partial += value;
-      act[keep++] = i;
+      count += value;
+      active[keep++] = i;
     }
-    act.resize(keep);
-    chunk.partial = partial;
+    active.resize(keep);
+    return count;
   };
 
-  const bool fan_out = config.workers != nullptr &&
-                       config.workers->worker_count() > 1 &&
-                       n >= kMinParallelThreads;
-
-  // The serial reference's lambda schedule, replicated literally. In price
-  // mode the stop rule loosens to the documented tolerance; everything else
-  // (midpoints, commits, plateau constant) is shared.
-  const double stop_width =
-      config.price_mode
-          ? std::max(config.price_tol, 0.0) * (1.0 + setup.max_marginal)
-          : 0.0;
-  double lo = 0.0;
-  double hi = setup.max_marginal * (1.0 + 1e-9) + 1e-300;
+  double hi = max_marginal * (1.0 + 1e-9) + 1e-300;
   std::int64_t iterations = 0;
   Side pending = Side::kNone;
-  for (int iter = 0; iter < 128; ++iter) {
-    const bool converged = config.price_mode
-                               ? hi - lo <= stop_width
-                               : hi - lo <= 1e-15 * (1.0 + hi);
-    if (converged) break;
+  for (int iter = 0; iter < 128 && hi - lo > 1e-15 * (1.0 + hi); ++iter) {
     const double mid = 0.5 * (lo + hi);
-    const Side commit = pending;
-    if (fan_out) {
-      support::parallel_for(
-          *config.workers, 0, num_chunks,
-          [&](std::size_t c) { sweep_chunk(c, mid, commit); });
-    } else {
-      for (std::size_t c = 0; c < num_chunks; ++c) sweep_chunk(c, mid, commit);
-    }
-    Resource count = 0;
-    for (const ChunkState& chunk : chunks) count += chunk.partial;
+    const Resource count = sweep(mid, pending);
     ++iterations;
     if (count > pool) {
       lo = mid;
@@ -336,74 +247,45 @@ AllocationResult run_bisection_soa(std::span<const UtilityPtr> threads,
   }
   // Threads still active carry one last uncommitted probe; fold it in so the
   // bracket records describe the final [lo, hi] exactly.
-  if (pending != Side::kNone) {
-    for (const ChunkState& chunk : chunks) {
-      for (const std::size_t i : chunk.active) {
-        if (pending == Side::kLo) {
-          hot[i].units_lo = hot[i].units_mid;
-        } else {
-          hot[i].units_hi = hot[i].units_mid;
-        }
-      }
+  for (const std::size_t i : active) {
+    if (pending == Side::kLo) {
+      hot[i].units_lo = hot[i].units_mid;
+    } else if (pending == Side::kHi) {
+      hot[i].units_hi = hot[i].units_mid;
     }
   }
-  obs::count(obs::metric::kSuperOptimalBisectIterations, iterations);
 
   Resource assigned = 0;
-  if (hi_exact) {
+  for (std::size_t i = 0; i < n; ++i) {
     // units_hi is exactly units(hi) for the final hi — no probes needed.
     // Pinned threads' records froze when their bracket collapsed, which is
     // exact: their unit count is constant over the rest of the schedule.
-    for (std::size_t i = 0; i < n; ++i) {
-      amounts[i] = hot[i].units_hi;
-      assigned += amounts[i];
-    }
-  } else {
-    // The loop never committed hi (max_marginal at float-noise scale);
+    // If the loop never committed hi (max_marginal at float-noise scale),
     // evaluate at hi directly.
-    assigned = reduce_over(
-        config.workers, n, Resource{0},
-        [&](std::size_t from, std::size_t to) {
-          Resource part = 0;
-          for (std::size_t i = from; i < to; ++i) {
-            amounts[i] =
-                probe(hot[i], hi, bracket_lb(hot[i]), bracket_ub(hot[i]));
-            part += amounts[i];
-          }
-          return part;
-        },
-        [](Resource acc, Resource part) { return acc + part; });
+    Hot& h = hot[i];
+    amounts[i] = hi_exact ? h.units_hi
+                          : probe(h, hi, 0, lo_exact ? h.units_lo : h.cap);
+    assigned += amounts[i];
   }
 
-  // Plateau distribution, identical to the serial reference: remaining
-  // eligible units sit in the converged [lo, hi] sliver, so index order is
-  // optimal up to that sliver. units(plateau) >= units(lo) and units_lo was
+  // Plateau distribution, identical to the reference: remaining eligible
+  // units sit in the converged [lo, hi] sliver, so index order is optimal
+  // up to that sliver. units(plateau) >= units(lo) and units_lo was
   // committed at (or below, for pinned threads, where units are constant)
   // the final lo, so units_lo brackets the probe from below.
   Resource residual = pool - assigned;
-  if (residual > 0) {
-    const double plateau = lo * (1.0 - 1e-12);
-    std::vector<Resource> upto(n, 0);
-    (void)reduce_over(
-        config.workers, n, Resource{0},
-        [&](std::size_t from, std::size_t to) {
-          for (std::size_t i = from; i < to; ++i) {
-            const Resource lb =
-                lo_exact ? hot[i].units_lo : bracket_lb(hot[i]);
-            upto[i] = probe(hot[i], plateau, lb, hot[i].cap);
-          }
-          return Resource{0};
-        },
-        [](Resource acc, Resource part) { return acc + part; });
-    for (std::size_t i = 0; i < n && residual > 0; ++i) {
-      const Resource take = std::min(residual, upto[i] - amounts[i]);
-      amounts[i] += take;
-      residual -= take;
-    }
+  const double plateau = lo * (1.0 - 1e-12);
+  for (std::size_t i = 0; i < n && residual > 0; ++i) {
+    Hot& h = hot[i];
+    const Resource lb = lo_exact ? h.units_lo : amounts[i];
+    const Resource take =
+        std::min(residual, probe(h, plateau, lb, h.cap) - amounts[i]);
+    amounts[i] += take;
+    residual -= take;
   }
 
   // Safety net for pathological floating-point geometry: finish greedily,
-  // with the serial reference's exact tie-breaking.
+  // with the reference's exact tie-breaking.
   if (residual > 0) {
     struct Entry {
       double marginal;
@@ -433,30 +315,29 @@ AllocationResult run_bisection_soa(std::span<const UtilityPtr> threads,
     }
   }
 
-  const double total = serial_total(threads, amounts);
-  return {std::move(amounts), total};
+  AllocationResult result = finish();
+  result.bisect_iterations = iterations;
+  return result;
 }
 
 }  // namespace
 
 AllocationResult allocate_bisection_soa(std::span<const UtilityPtr> threads,
                                         Resource pool,
-                                        Resource per_thread_cap,
-                                        support::ThreadPool* workers) {
-  CoreConfig config;
-  config.workers = workers;
-  return run_bisection_soa(threads, pool, per_thread_cap, config);
+                                        Resource per_thread_cap) {
+  return run_bisection(
+      threads.size(), [&](std::size_t k) { return threads[k].get(); }, pool,
+      per_thread_cap);
 }
 
-AllocationResult allocate_price(std::span<const UtilityPtr> threads,
-                                Resource pool, Resource per_thread_cap,
-                                double price_tol,
-                                support::ThreadPool* workers) {
-  CoreConfig config;
-  config.workers = workers;
-  config.price_mode = true;
-  config.price_tol = price_tol;
-  return run_bisection_soa(threads, pool, per_thread_cap, config);
+AllocationResult allocate_bisection_soa(std::span<const UtilityPtr> threads,
+                                        std::span<const std::size_t> members,
+                                        Resource pool,
+                                        Resource per_thread_cap) {
+  return run_bisection(
+      members.size(),
+      [&](std::size_t k) { return threads[members[k]].get(); }, pool,
+      per_thread_cap);
 }
 
 }  // namespace aa::alloc

@@ -6,8 +6,9 @@
 // problem (Section II): each thread is an item *class* — one (allocation,
 // utility) item must be chosen per class — and each server is a knapsack.
 // For a single server, MCKP solves the allocation problem even for
-// NON-concave utilities (where the greedy/bisection allocators of
-// allocator.hpp lose their exactness guarantee; cf. Lai & Fan [11]).
+// NON-concave utilities (where the bisection allocator of allocator.hpp
+// and the oracles of oracle.hpp lose their exactness guarantee; cf. Lai &
+// Fan [11]).
 //
 // Provided solvers:
 //  * mckp_dp_exact   — textbook DP, O(sum_class_items * capacity). Weakly
@@ -22,7 +23,7 @@
 //
 // For concave utilities the class hulls are the classes themselves and the
 // greedy is exact up to its last fractional step, which is why it agrees
-// with allocator.hpp's exact algorithms in the tests.
+// with oracle.hpp's exact algorithms in the tests.
 
 #include <cstdint>
 #include <limits>

@@ -1,4 +1,4 @@
-#include "alloc/allocator.hpp"
+#include "alloc/oracle.hpp"
 
 #include <algorithm>
 #include <cmath>

@@ -2,146 +2,31 @@
 
 #include <cstdint>
 #include <stdexcept>
-#include <string>
 
 #include "obs/registry.hpp"
 #include "obs/session.hpp"
-#include "support/thread_pool.hpp"
 
 namespace aa::alloc {
-
-namespace {
-
-util::Resource pooled(std::size_t num_servers, util::Resource capacity) {
-  if (capacity < 0) {
-    throw std::invalid_argument("super_optimal: negative capacity");
-  }
-  return static_cast<util::Resource>(num_servers) * capacity;
-}
-
-void count_call(std::span<const util::UtilityPtr> threads) {
-  obs::count(obs::metric::kSuperOptimalCalls);
-  obs::count(obs::metric::kSuperOptimalThreads,
-             static_cast<std::int64_t>(threads.size()));
-}
-
-// Startup-configured, then read-only while solver threads run (see the
-// header contract); a plain global keeps the hot path branch-free.
-SuperOptimalOptions g_default_options;
-
-}  // namespace
 
 SuperOptimalResult super_optimal(std::span<const util::UtilityPtr> threads,
                                  std::size_t num_servers,
                                  util::Resource capacity) {
   const obs::ScopedPhase obs_phase(obs::metric::kPhaseSuperOptimal);
-  count_call(threads);
-  AllocationResult result =
-      allocate_bisection(threads, pooled(num_servers, capacity), capacity);
-  return {std::move(result.amounts), result.total_utility};
-}
-
-SuperOptimalResult super_optimal_greedy(
-    std::span<const util::UtilityPtr> threads, std::size_t num_servers,
-    util::Resource capacity) {
-  const obs::ScopedPhase obs_phase(obs::metric::kPhaseSuperOptimal);
-  count_call(threads);
-  AllocationResult result =
-      allocate_greedy(threads, pooled(num_servers, capacity), capacity);
-  return {std::move(result.amounts), result.total_utility};
-}
-
-SuperOptimalResult super_optimal_parallel(
-    std::span<const util::UtilityPtr> threads, std::size_t num_servers,
-    util::Resource capacity, support::ThreadPool* workers) {
-  const obs::ScopedPhase obs_phase(obs::metric::kPhaseSuperOptimalParallel);
-  count_call(threads);
-  obs::count(obs::metric::kSuperOptimalParallelCalls);
-  if (workers == nullptr) workers = &support::global_pool();
+  obs::count(obs::metric::kSuperOptimalCalls);
+  obs::count(obs::metric::kSuperOptimalThreads,
+             static_cast<std::int64_t>(threads.size()));
+  if (capacity < 0) {
+    throw std::invalid_argument("super_optimal: negative capacity");
+  }
   AllocationResult result = allocate_bisection_soa(
-      threads, pooled(num_servers, capacity), capacity, workers);
+      threads, static_cast<util::Resource>(num_servers) * capacity, capacity);
+  // Recorded here, not in the allocator, so the per-call figure covers
+  // super-optimal solves only (refine's per-server calls stay out of it).
+  if (result.bisect_iterations > 0) {
+    obs::count(obs::metric::kSuperOptimalBisectIterations,
+               result.bisect_iterations);
+  }
   return {std::move(result.amounts), result.total_utility};
-}
-
-SuperOptimalResult super_optimal_price(
-    std::span<const util::UtilityPtr> threads, std::size_t num_servers,
-    util::Resource capacity, double price_tol, support::ThreadPool* workers) {
-  const obs::ScopedPhase obs_phase(obs::metric::kPhaseSuperOptimalPrice);
-  count_call(threads);
-  obs::count(obs::metric::kSuperOptimalPriceCalls);
-  if (workers == nullptr) workers = &support::global_pool();
-  AllocationResult result = allocate_price(
-      threads, pooled(num_servers, capacity), capacity, price_tol, workers);
-  return {std::move(result.amounts), result.total_utility};
-}
-
-SuperOptimalResult super_optimal_with(
-    std::span<const util::UtilityPtr> threads, std::size_t num_servers,
-    util::Resource capacity, const SuperOptimalOptions& options) {
-  switch (options.strategy) {
-    case SuperOptimalStrategy::kParallel:
-      return super_optimal_parallel(threads, num_servers, capacity,
-                                    options.workers);
-    case SuperOptimalStrategy::kPrice:
-      return super_optimal_price(threads, num_servers, capacity,
-                                 options.price_tolerance, options.workers);
-    case SuperOptimalStrategy::kSerial:
-      break;
-  }
-  return super_optimal(threads, num_servers, capacity);
-}
-
-SuperOptimalResult super_optimal_routed(
-    std::span<const util::UtilityPtr> threads, std::size_t num_servers,
-    util::Resource capacity) {
-  return super_optimal_with(threads, num_servers, capacity, g_default_options);
-}
-
-AllocationResult allocate_pooled_routed(
-    std::span<const util::UtilityPtr> threads, util::Resource pool,
-    util::Resource per_thread_cap) {
-  switch (g_default_options.strategy) {
-    case SuperOptimalStrategy::kParallel:
-      return allocate_bisection_soa(threads, pool, per_thread_cap,
-                                    &support::global_pool());
-    case SuperOptimalStrategy::kPrice:
-      return allocate_price(threads, pool, per_thread_cap,
-                            g_default_options.price_tolerance,
-                            &support::global_pool());
-    case SuperOptimalStrategy::kSerial:
-      break;
-  }
-  return allocate_bisection(threads, pool, per_thread_cap);
-}
-
-void set_default_super_optimal_options(const SuperOptimalOptions& options) {
-  g_default_options = options;
-  g_default_options.workers = nullptr;  // Routed paths use the global pool.
-}
-
-SuperOptimalOptions default_super_optimal_options() {
-  return g_default_options;
-}
-
-SuperOptimalStrategy parse_super_optimal_strategy(std::string_view name) {
-  if (name == "serial") return SuperOptimalStrategy::kSerial;
-  if (name == "parallel") return SuperOptimalStrategy::kParallel;
-  if (name == "price") return SuperOptimalStrategy::kPrice;
-  throw std::invalid_argument("unknown super-optimal strategy '" +
-                              std::string(name) +
-                              "' (expected serial|parallel|price)");
-}
-
-std::string_view super_optimal_strategy_name(SuperOptimalStrategy strategy) {
-  switch (strategy) {
-    case SuperOptimalStrategy::kParallel:
-      return "parallel";
-    case SuperOptimalStrategy::kPrice:
-      return "price";
-    case SuperOptimalStrategy::kSerial:
-      break;
-  }
-  return "serial";
 }
 
 }  // namespace aa::alloc

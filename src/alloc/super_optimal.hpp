@@ -4,21 +4,10 @@
 // capacity constraints to the single pooled constraint sum c_hat_i <= m*C
 // (with each thread still capped at C, the domain of its utility function).
 // Its utility F_hat upper-bounds the optimal AA utility F* (Lemma V.2), and
-// both approximation algorithms take it as input.
-//
-// Strategy seam (docs/ALGORITHMS.md "Strategy seam"): `super_optimal` and
-// `super_optimal_greedy` are the serial reference implementations and never
-// change. The optimized paths — `super_optimal_parallel` (bit-identical SoA
-// rewrite, optionally fanned across a thread pool) and `super_optimal_price`
-// (single-price discovery with a documented tolerance, for the very-large-n
-// regime) — sit behind SuperOptimalStrategy. alg1/alg2/alg2h/warm-start
-// route through `super_optimal_routed`, which dispatches on the process-wide
-// default set by aa_solve/aa_serve `--so-strategy`. Branch-and-bound keeps
-// calling the serial reference directly: its pruning needs a true upper
-// bound, and the price variant's utility may fall below F_hat (never above).
+// both approximation algorithms take it as input. It is the single-pool
+// allocator of alloc/allocator.hpp with pool = m*C.
 
 #include <span>
-#include <string_view>
 
 #include "alloc/allocator.hpp"
 
@@ -29,81 +18,18 @@ struct SuperOptimalResult {
   double utility = 0.0;               ///< F_hat = sum f_i(c_hat_i).
 };
 
-/// How super_optimal_routed / super_optimal_with compute the allocation.
-enum class SuperOptimalStrategy {
-  kSerial,    ///< allocate_bisection, the reference path (default).
-  kParallel,  ///< allocate_bisection_soa: bit-identical, pool-accelerated.
-  kPrice,     ///< allocate_price: tolerance contract, fastest at huge n.
-};
-
-struct SuperOptimalOptions {
-  SuperOptimalStrategy strategy = SuperOptimalStrategy::kSerial;
-  /// kPrice only: relative price-convergence tolerance (see allocate_price
-  /// for the exact utility contract).
-  double price_tolerance = 1e-9;
-  /// kParallel/kPrice: pool for the probe fan-out; nullptr means
-  /// support::global_pool(). Never stored by the process-wide default.
-  support::ThreadPool* workers = nullptr;
-};
-
 /// Computes a super-optimal allocation for `num_servers` servers of capacity
-/// `capacity` each, using the threshold-bisection allocator (the paper's
-/// O(n (log mC)^2) path, citing Galil [16]).
+/// `capacity` each (the paper's O(n (log mC)^2) path, citing Galil [16]).
+/// Bit-identical to the allocate_bisection oracle with pool = m*C, cap = C.
 [[nodiscard]] SuperOptimalResult super_optimal(
     std::span<const util::UtilityPtr> threads, std::size_t num_servers,
     util::Resource capacity);
 
-/// Same, via the heap-greedy allocator (O((n + mC) log n)); used to
-/// cross-check the bisection path in tests and ablations.
-[[nodiscard]] SuperOptimalResult super_optimal_greedy(
+/// Alias of super_optimal, kept because perfbench/ calls it by this name.
+[[nodiscard]] inline SuperOptimalResult super_optimal_routed(
     std::span<const util::UtilityPtr> threads, std::size_t num_servers,
-    util::Resource capacity);
-
-/// SoA + bracket-narrowing rewrite, fanned across `workers` (nullptr means
-/// support::global_pool()). Bit-identical to super_optimal for every input
-/// and worker count — guaranteed by super_optimal_equivalence_test.
-[[nodiscard]] SuperOptimalResult super_optimal_parallel(
-    std::span<const util::UtilityPtr> threads, std::size_t num_servers,
-    util::Resource capacity, support::ThreadPool* workers = nullptr);
-
-/// Single-price discovery variant: utility is within
-/// price_tol * (1 + max marginal) * m * C of F_hat and never above it (see
-/// allocate_price). Not a valid bound source for branch-and-bound.
-[[nodiscard]] SuperOptimalResult super_optimal_price(
-    std::span<const util::UtilityPtr> threads, std::size_t num_servers,
-    util::Resource capacity, double price_tol = 1e-9,
-    support::ThreadPool* workers = nullptr);
-
-/// Dispatches on options.strategy.
-[[nodiscard]] SuperOptimalResult super_optimal_with(
-    std::span<const util::UtilityPtr> threads, std::size_t num_servers,
-    util::Resource capacity, const SuperOptimalOptions& options);
-
-/// Dispatches on the process-wide default options. This is the entry point
-/// alg1/alg2/warm-start call.
-[[nodiscard]] SuperOptimalResult super_optimal_routed(
-    std::span<const util::UtilityPtr> threads, std::size_t num_servers,
-    util::Resource capacity);
-
-/// Strategy-routed single-pool allocation over an explicit pool/cap pair;
-/// the heterogeneous extension's pooled bound (pool = sum C_j, cap = max
-/// C_j) goes through here so it follows the same seam.
-[[nodiscard]] AllocationResult allocate_pooled_routed(
-    std::span<const util::UtilityPtr> threads, util::Resource pool,
-    util::Resource per_thread_cap);
-
-/// Process-wide default strategy, consulted by super_optimal_routed. The
-/// `workers` field is ignored (the routed paths always use the global
-/// pool); set it per call via super_optimal_with instead. Not synchronized:
-/// set it at startup (aa_solve/aa_serve do), before solver threads exist.
-void set_default_super_optimal_options(const SuperOptimalOptions& options);
-[[nodiscard]] SuperOptimalOptions default_super_optimal_options();
-
-/// Parses "serial" | "parallel" | "price" (the aa_solve/aa_serve
-/// --so-strategy values); throws std::invalid_argument otherwise.
-[[nodiscard]] SuperOptimalStrategy parse_super_optimal_strategy(
-    std::string_view name);
-[[nodiscard]] std::string_view super_optimal_strategy_name(
-    SuperOptimalStrategy strategy);
+    util::Resource capacity) {
+  return super_optimal(threads, num_servers, capacity);
+}
 
 }  // namespace aa::alloc

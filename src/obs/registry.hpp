@@ -58,10 +58,6 @@ inline constexpr std::string_view kRefineSolves = "refine/solves";
 inline constexpr std::string_view kSuperOptimalBisectIterations =
     "super_optimal/bisect_iterations";
 inline constexpr std::string_view kSuperOptimalCalls = "super_optimal/calls";
-inline constexpr std::string_view kSuperOptimalParallelCalls =
-    "super_optimal/parallel_calls";
-inline constexpr std::string_view kSuperOptimalPriceCalls =
-    "super_optimal/price_calls";
 inline constexpr std::string_view kSuperOptimalThreads =
     "super_optimal/threads";
 inline constexpr std::string_view kSvcBatches = "svc/batches";
@@ -109,8 +105,6 @@ inline constexpr std::string_view kAllCounters[] = {
     kRefineSolves,
     kSuperOptimalBisectIterations,
     kSuperOptimalCalls,
-    kSuperOptimalParallelCalls,
-    kSuperOptimalPriceCalls,
     kSuperOptimalThreads,
     kSvcBatches,
     kSvcDeadlineMisses,
@@ -148,10 +142,6 @@ inline constexpr std::string_view kPhaseExperimentRunPoint =
 inline constexpr std::string_view kPhaseLinearize = "linearize";
 inline constexpr std::string_view kPhaseRefineReoptimize = "refine/reoptimize";
 inline constexpr std::string_view kPhaseSuperOptimal = "super_optimal";
-inline constexpr std::string_view kPhaseSuperOptimalParallel =
-    "super_optimal/parallel";
-inline constexpr std::string_view kPhaseSuperOptimalPrice =
-    "super_optimal/price";
 inline constexpr std::string_view kPhaseSvcBatch = "svc/batch";
 inline constexpr std::string_view kPhaseSvcSolve = "svc/solve";
 
@@ -167,8 +157,6 @@ inline constexpr std::string_view kAllTimers[] = {
     kPhaseLinearize,
     kPhaseRefineReoptimize,
     kPhaseSuperOptimal,
-    kPhaseSuperOptimalParallel,
-    kPhaseSuperOptimalPrice,
     kPhaseSvcBatch,
     kPhaseSvcSolve,
 };

@@ -5,9 +5,7 @@
 // across cores. Determinism is preserved by seeding each loop index
 // independently (see support/prng.hpp), so the schedule never affects results.
 
-#include <algorithm>
 #include <cstddef>
-#include <exception>
 #include <functional>
 #include <future>
 #include <queue>
@@ -55,51 +53,6 @@ class ThreadPool {
 /// exception in chunk order.
 void parallel_for(ThreadPool& pool, std::size_t begin, std::size_t end,
                   const std::function<void(std::size_t)>& body);
-
-/// Deterministic chunked map-reduce. Splits [begin, end) into fixed-size
-/// chunks whose boundaries depend only on the range and `chunk_size` — never
-/// on the worker count — evaluates `map(lo, hi) -> T` for each chunk on the
-/// pool, and folds the partials IN CHUNK ORDER with `combine(acc, partial)`.
-/// Because both the decomposition and the fold order are schedule-independent,
-/// the result is bit-identical across pool sizes even for non-associative
-/// combines (e.g. floating-point sums). Blocks until every chunk finished;
-/// rethrows the first exception in chunk order.
-template <typename T, typename MapFn, typename CombineFn>
-[[nodiscard]] T parallel_chunked_reduce(ThreadPool& pool, std::size_t begin,
-                                        std::size_t end,
-                                        std::size_t chunk_size, T init,
-                                        const MapFn& map,
-                                        const CombineFn& combine) {
-  if (begin >= end) return init;
-  if (chunk_size == 0) chunk_size = 1;
-  const std::size_t total = end - begin;
-  const std::size_t chunks = (total + chunk_size - 1) / chunk_size;
-  std::vector<T> partials(chunks, init);
-  std::vector<std::future<void>> futures;
-  futures.reserve(chunks);
-  for (std::size_t c = 0; c < chunks; ++c) {
-    const std::size_t lo = begin + c * chunk_size;
-    const std::size_t hi = std::min(end, lo + chunk_size);
-    futures.push_back(pool.submit(
-        [&partials, &map, c, lo, hi] { partials[c] = map(lo, hi); }));
-  }
-  // Join every chunk before rethrowing: a propagated exception must not leave
-  // workers writing into `partials` after this frame unwinds.
-  std::exception_ptr first_error;
-  for (auto& f : futures) {
-    try {
-      f.get();
-    } catch (...) {
-      if (first_error == nullptr) first_error = std::current_exception();
-    }
-  }
-  if (first_error != nullptr) std::rethrow_exception(first_error);
-  T acc = std::move(init);
-  for (std::size_t c = 0; c < chunks; ++c) {
-    acc = combine(std::move(acc), std::move(partials[c]));
-  }
-  return acc;
-}
 
 /// Library-wide shared pool (lazily constructed, hardware-sized).
 [[nodiscard]] ThreadPool& global_pool();

@@ -8,7 +8,7 @@
 // (num_servers * capacity resource units) is divided into per-tenant
 // slices. A tenant's slice becomes its InstanceState solve capacity
 // (slice / num_servers per server, floored), so the whole solver zoo —
-// warm-start paths, certificates, the super-optimal strategy seam — runs
+// warm-start paths, certificates, the single-pool allocator — runs
 // unchanged inside the slice and the conservation invariant
 // sum(slices) <= pool holds by construction.
 //

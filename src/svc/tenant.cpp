@@ -25,7 +25,7 @@ double tenant_demand_units(const InstanceState& state) {
   for (const auto& [id, utility] : state.threads()) {
     threads.push_back(utility);
   }
-  const alloc::SuperOptimalResult bound = alloc::super_optimal_routed(
+  const alloc::SuperOptimalResult bound = alloc::super_optimal(
       threads, state.num_servers(), state.capacity());
   double units = 0.0;
   for (const util::Resource c : bound.c_hat) {

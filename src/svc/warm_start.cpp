@@ -146,7 +146,7 @@ ServiceSolveResult WarmStartSolver::solve(const InstanceState& state,
     // Shared prefix of both candidates: the super-optimal allocation and
     // the two-segment linearization certify the *current* utilities.
     alloc::SuperOptimalResult super =
-        alloc::super_optimal_routed(instance.threads, instance.num_servers,
+        alloc::super_optimal(instance.threads, instance.num_servers,
                                     instance.capacity);
     const std::vector<util::Linearized> linearized =
         util::linearize(instance.threads, super.c_hat);

@@ -38,10 +38,11 @@ class UtilityFunction {
   [[nodiscard]] virtual double marginal(Resource k) const;
 
   /// Raw value grid f(0..capacity()) when the representation stores one
-  /// (TabulatedUtility), else nullptr. The allocator's structure-of-arrays
-  /// fast path (alloc/bisection_soa.cpp) reads marginals straight off the
-  /// grid — grid[k] - grid[k-1] must equal marginal(k) bit-for-bit — so a
-  /// non-null return is a strict promise, not a hint.
+  /// (TabulatedUtility), else nullptr. The allocator (alloc/bisection_soa.cpp)
+  /// reads values and marginals straight off the grid — grid[k] must equal
+  /// value(k) (up to the sign of a zero) and grid[k] - grid[k-1] must equal
+  /// marginal(k), bit-for-bit — so a non-null return is a strict promise,
+  /// not a hint.
   [[nodiscard]] virtual const double* tabulated_grid() const noexcept {
     return nullptr;
   }

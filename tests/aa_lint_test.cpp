@@ -165,6 +165,18 @@ TEST(AaLint, NakedNewIsFlagged) {
       << result.output;
 }
 
+TEST(AaLint, OracleUseInProductionCodeIsFlagged) {
+  const RunResult result = lint_fixture("oracle_use", "oracle-use");
+  EXPECT_EQ(result.exit_code, 1) << result.output;
+  EXPECT_NE(result.output.find("allocate_greedy is a test oracle"),
+            std::string::npos)
+      << result.output;
+  EXPECT_NE(result.output.find("alloc/oracle.hpp is linked by tests/ and "
+                               "bench/ only"),
+            std::string::npos)
+      << result.output;
+}
+
 TEST(AaLint, WaiverCommentSuppressesDiagnostic) {
   const RunResult result = lint_fixture("waiver", "determinism");
   EXPECT_EQ(result.exit_code, 0) << result.output;

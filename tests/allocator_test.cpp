@@ -1,7 +1,7 @@
-// Tests for the single-pool concave allocators (alloc/allocator.hpp):
+// Tests for the reference single-pool allocators (alloc/oracle.hpp):
 // greedy == bisection == DP on concave inputs, plus edge cases.
 
-#include "alloc/allocator.hpp"
+#include "alloc/oracle.hpp"
 
 #include <gtest/gtest.h>
 

@@ -10,17 +10,17 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <string>
 #include <tuple>
+#include <vector>
 
 #include "aa/algorithm1.hpp"
 #include "aa/algorithm2.hpp"
 #include "aa/certify.hpp"
 #include "aa/exact.hpp"
 #include "aa/refine.hpp"
+#include "alloc/oracle.hpp"
 #include "alloc/super_optimal.hpp"
 #include "obs/session.hpp"
 #include "support/prng.hpp"
@@ -119,95 +119,41 @@ TEST_P(CertificateProperty, CorruptedResultFailsCertification) {
   EXPECT_FALSE(lied.ok());
 }
 
-/// Scoped override of the process-wide super-optimal strategy; restores the
-/// previous default on destruction so test order never leaks state.
-class ScopedStrategy {
- public:
-  explicit ScopedStrategy(alloc::SuperOptimalStrategy strategy,
-                          double price_tolerance = 1e-9)
-      : saved_(alloc::default_super_optimal_options()) {
-    alloc::SuperOptimalOptions options;
-    options.strategy = strategy;
-    options.price_tolerance = price_tolerance;
-    alloc::set_default_super_optimal_options(options);
-  }
-  ~ScopedStrategy() { alloc::set_default_super_optimal_options(saved_); }
-  ScopedStrategy(const ScopedStrategy&) = delete;
-  ScopedStrategy& operator=(const ScopedStrategy&) = delete;
-
- private:
-  alloc::SuperOptimalOptions saved_;
-};
-
-TEST_P(CertificateProperty, PriceStrategyHonorsItsToleranceContract) {
-  // The documented allocate_price contract: the price allocation is pooled-
-  // feasible (so F_price never exceeds the exact F_hat), and the shortfall
-  // is at most price_tol * (1 + max marginal) * pool. Checked at the default
-  // tolerance and at a deliberately loose one, so the bound is exercised
-  // where the two paths genuinely diverge.
+TEST_P(CertificateProperty, SuperOptimalIsBitIdenticalToTheOracle) {
+  // The super-optimal bound every certificate divides by comes from the
+  // production allocator; it must be the literal bisection's, bit for bit.
   const Instance instance = make_instance();
-  const alloc::SuperOptimalResult exact_so = alloc::super_optimal(
+  const alloc::SuperOptimalResult so = alloc::super_optimal(
       instance.threads, instance.num_servers, instance.capacity);
-  double max_marginal = 0.0;
-  for (const auto& thread : instance.threads) {
-    if (thread->capacity() >= 1) {
-      max_marginal = std::max(max_marginal, thread->marginal(1));
-    }
-  }
-  const double pool = static_cast<double>(instance.num_servers) *
-                      static_cast<double>(instance.capacity);
-  for (const double tol : {1e-9, 1e-4, 1e-2}) {
-    SCOPED_TRACE("price_tol=" + std::to_string(tol));
-    const alloc::SuperOptimalResult price = alloc::super_optimal_price(
-        instance.threads, instance.num_servers, instance.capacity, tol);
-    const double slack = 1e-12 * (1.0 + exact_so.utility);
-    EXPECT_LE(price.utility, exact_so.utility + slack);
-    const double bound = tol * (1.0 + max_marginal) * pool;
-    EXPECT_GE(price.utility, exact_so.utility - bound - slack);
-    // The price allocation must itself be pooled-feasible and capped.
-    Resource pooled_sum = 0;
-    for (std::size_t i = 0; i < price.c_hat.size(); ++i) {
-      EXPECT_LE(price.c_hat[i], instance.capacity);
-      pooled_sum += price.c_hat[i];
-    }
-    EXPECT_LE(static_cast<double>(pooled_sum), pool);
-  }
+  const alloc::AllocationResult oracle = alloc::allocate_bisection(
+      instance.threads,
+      static_cast<Resource>(instance.num_servers) * instance.capacity,
+      instance.capacity);
+  EXPECT_EQ(so.c_hat, oracle.amounts);
+  EXPECT_EQ(so.utility, oracle.total_utility);
 }
 
-TEST_P(CertificateProperty, SolversCertifyUnderEveryStrategy) {
-  // Routing alg1/alg2 through the parallel or price strategy must leave
-  // every downstream certificate passing: parallel is bit-identical, and
-  // the price tolerance (1e-9 relative scale) sits far inside the
-  // certificate's 1e-7 comparison tolerance.
+TEST_P(CertificateProperty, RefineMatchesTheOraclesPerServer) {
+  // Each refined server holds the exact single-server optimum: the heap
+  // greedy's and the dynamic program's utility on the same members.
   const Instance instance = make_instance();
-  for (const alloc::SuperOptimalStrategy strategy :
-       {alloc::SuperOptimalStrategy::kParallel,
-        alloc::SuperOptimalStrategy::kPrice}) {
-    SCOPED_TRACE(std::string("strategy=") +
-                 std::string(alloc::super_optimal_strategy_name(strategy)));
-    const ScopedStrategy scoped(strategy);
-    const struct {
-      const char* name;
-      SolveResult result;
-    } runs[] = {
-        {"algorithm2", solve_algorithm2(instance)},
-        {"algorithm2_refined", solve_algorithm2_refined(instance)},
-        {"algorithm1_refined", solve_algorithm1_refined(instance)},
-    };
-    for (const auto& run : runs) {
-      const obs::Certificate cert = certify(instance, run.result, run.name);
-      EXPECT_TRUE(cert.ok()) << run.name << ": " << cert.to_json().dump(2);
-      // The 0.828 guarantee holds against the strategy's own bound ...
-      EXPECT_GE(run.result.utility, kApproximationRatio *
-                                            run.result.super_optimal_utility -
-                                        1e-9 * (1.0 + run.result.utility));
+  const SolveResult refined = solve_algorithm2_refined(instance);
+  for (std::size_t j = 0; j < instance.num_servers; ++j) {
+    std::vector<UtilityPtr> members;
+    double refined_value = 0.0;
+    for (std::size_t i = 0; i < instance.num_threads(); ++i) {
+      if (refined.assignment.server[i] != j) continue;
+      members.push_back(instance.threads[i]);
+      refined_value += instance.threads[i]->value(refined.assignment.alloc[i]);
     }
-    // ... and against the true optimum, up to the certificate tolerance
-    // (the price bound at tol=1e-9 is far below it on these shapes).
-    const ExactResult exact = solve_exact(instance);
-    const SolveResult refined = solve_algorithm2_refined(instance);
-    EXPECT_GE(refined.utility, kApproximationRatio * exact.utility -
-                                   1e-6 * (1.0 + exact.utility));
+    const double greedy =
+        alloc::allocate_greedy(members, instance.capacity, instance.capacity)
+            .total_utility;
+    const double dp =
+        alloc::allocate_dp_exact(members, instance.capacity, instance.capacity)
+            .total_utility;
+    EXPECT_NEAR(refined_value, greedy, 1e-12 * (1.0 + greedy)) << "server " << j;
+    EXPECT_NEAR(refined_value, dp, 1e-9 * (1.0 + dp)) << "server " << j;
   }
 }
 

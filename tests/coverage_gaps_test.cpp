@@ -8,7 +8,7 @@
 
 #include "aa/algorithm1.hpp"
 #include "aa/multi_resource.hpp"
-#include "alloc/allocator.hpp"
+#include "alloc/oracle.hpp"
 #include "alloc/super_optimal.hpp"
 #include "support/json.hpp"
 #include "utility/linearized.hpp"

@@ -100,6 +100,7 @@ TEST(Golden, MetricsCountersSeed2016Trial0) {
       "\"heuristics/rr_solves\":1,\"heuristics/ru_solves\":1,"
       "\"heuristics/ur_solves\":1,\"heuristics/uu_solves\":1,"
       "\"refine/servers_reoptimized\":4,\"refine/solves\":1,"
+      "\"super_optimal/bisect_iterations\":46,"
       "\"super_optimal/calls\":1,\"super_optimal/threads\":12}");
   EXPECT_EQ(session.metrics().counter("certificate/failures"), 0);
   ASSERT_EQ(session.certificates().size(), 2u);

@@ -6,7 +6,7 @@
 
 #include <memory>
 
-#include "alloc/allocator.hpp"
+#include "alloc/oracle.hpp"
 #include "support/prng.hpp"
 #include "utility/generator.hpp"
 

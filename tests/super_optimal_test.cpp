@@ -9,6 +9,7 @@
 #include <numeric>
 
 #include "aa/exact.hpp"
+#include "alloc/oracle.hpp"
 #include "support/prng.hpp"
 #include "utility/generator.hpp"
 
@@ -46,8 +47,8 @@ TEST(SuperOptimal, GreedyAndBisectionPathsAgree) {
     threads.push_back(util::generate_utility(100, dist, rng));
   }
   const SuperOptimalResult a = super_optimal(threads, 3, 100);
-  const SuperOptimalResult b = super_optimal_greedy(threads, 3, 100);
-  EXPECT_NEAR(a.utility, b.utility, 1e-7 * (1.0 + b.utility));
+  const AllocationResult b = allocate_greedy(threads, 300, 100);
+  EXPECT_NEAR(a.utility, b.total_utility, 1e-7 * (1.0 + b.total_utility));
 }
 
 TEST(SuperOptimal, UsesFullPoolWhenProfitable) {

@@ -127,89 +127,6 @@ TEST(ThreadPool, ReuseAcrossManySubmissionWaves) {
   EXPECT_EQ(total.load(), expected);
 }
 
-TEST(ChunkedReduce, SumsEveryChunkExactlyOnce) {
-  ThreadPool pool(4);
-  const long long total = parallel_chunked_reduce(
-      pool, std::size_t{0}, std::size_t{1000}, std::size_t{37}, 0LL,
-      [](std::size_t lo, std::size_t hi) {
-        long long part = 0;
-        for (std::size_t i = lo; i < hi; ++i) part += static_cast<long long>(i);
-        return part;
-      },
-      [](long long acc, long long part) { return acc + part; });
-  EXPECT_EQ(total, 999LL * 1000 / 2);
-}
-
-TEST(ChunkedReduce, EmptyRangeReturnsInit) {
-  ThreadPool pool(2);
-  const int value = parallel_chunked_reduce(
-      pool, std::size_t{9}, std::size_t{9}, std::size_t{8}, 42,
-      [](std::size_t, std::size_t) -> int {
-        ADD_FAILURE() << "must not run";
-        return 0;
-      },
-      [](int acc, int) { return acc; });
-  EXPECT_EQ(value, 42);
-}
-
-TEST(ChunkedReduce, DeterministicAcrossWorkerCountsForFloatSums) {
-  // The order-independence claim the allocation fast paths lean on: chunk
-  // boundaries and fold order depend only on (range, chunk_size), so even a
-  // non-associative floating-point sum is bit-identical for every pool
-  // size. Values spanning 14 orders of magnitude make any reordering of the
-  // fold visible in the low bits.
-  std::vector<double> values(10000);
-  double scale = 1e-7;
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    values[i] = scale * static_cast<double>(i % 997 + 1);
-    scale = scale > 1e7 ? 1e-7 : scale * 1.01;
-  }
-  const auto reduce_with = [&](std::size_t workers) {
-    ThreadPool pool(workers);
-    return parallel_chunked_reduce(
-        pool, std::size_t{0}, values.size(), std::size_t{256}, 0.0,
-        [&](std::size_t lo, std::size_t hi) {
-          double part = 0.0;
-          for (std::size_t i = lo; i < hi; ++i) part += values[i];
-          return part;
-        },
-        [](double acc, double part) { return acc + part; });
-  };
-  const double reference = reduce_with(1);
-  for (const std::size_t workers : {2UL, 3UL, 4UL, 8UL}) {
-    SCOPED_TRACE("workers=" + std::to_string(workers));
-    EXPECT_EQ(reduce_with(workers), reference);
-  }
-}
-
-TEST(ChunkedReduce, PropagatesFirstExceptionInChunkOrderAndStaysUsable) {
-  ThreadPool pool(4);
-  const auto failing = [&] {
-    return parallel_chunked_reduce(
-        pool, std::size_t{0}, std::size_t{400}, std::size_t{50}, 0,
-        [](std::size_t lo, std::size_t) -> int {
-          if (lo == 100) throw std::runtime_error("chunk at 100");
-          if (lo == 300) throw std::logic_error("chunk at 300");
-          return 1;
-        },
-        [](int acc, int part) { return acc + part; });
-  };
-  // Chunk order, not completion order: the runtime_error from the earlier
-  // chunk wins even if the later chunk fails first on some schedule.
-  try {
-    (void)failing();
-    FAIL() << "expected an exception";
-  } catch (const std::runtime_error& error) {
-    EXPECT_STREQ(error.what(), "chunk at 100");
-  }
-  // And the pool is still healthy afterwards.
-  const int chunks = parallel_chunked_reduce(
-      pool, std::size_t{0}, std::size_t{400}, std::size_t{50}, 0,
-      [](std::size_t, std::size_t) { return 1; },
-      [](int acc, int part) { return acc + part; });
-  EXPECT_EQ(chunks, 8);
-}
-
 TEST(GlobalPool, IsSingletonAndUsable) {
   ThreadPool& a = global_pool();
   ThreadPool& b = global_pool();

@@ -9,10 +9,11 @@
 //
 // Run mode executes the selected suite — solver latency across an
 // n x m x C grid (alg1 incremental vs. the literal-pseudocode
-// alg1_reference, alg2, alg2h), the super-optimal allocator, the
-// warm-start cached/warm/full re-solve paths, and end-to-end svc request
-// latency through an in-process Service — each case repeated until its
-// mean converges (benchkit::run_case), and writes a schema-versioned
+// alg1_reference, alg2, alg2h), the single-pool allocator as super-optimal
+// allocation and as per-server refinement, the warm-start cached/warm/full
+// re-solve paths, and end-to-end svc request latency through an in-process
+// Service — each case repeated until its mean converges
+// (benchkit::run_case), and writes a schema-versioned
 // BENCH_<host>_<date>.json. Compare mode loads a committed baseline and
 // either a second report file or a fresh run of the same suite, and exits
 // nonzero when any case's median regressed by more than the threshold
@@ -36,6 +37,7 @@
 #include "aa/algorithm2.hpp"
 #include "aa/heterogeneous.hpp"
 #include "aa/problem.hpp"
+#include "aa/refine.hpp"
 #include "alloc/super_optimal.hpp"
 #include "benchkit/compare.hpp"
 #include "benchkit/report.hpp"
@@ -147,12 +149,9 @@ std::vector<BenchCase> build_suite(std::uint64_t seed) {
          };
        }});
 
-  // Strategy-seam grid (docs/ALGORITHMS.md "Strategy seam"): the serial
-  // reference vs. the bit-identical SoA/parallel rewrite vs. price
-  // discovery, on the same instance per (n, C) so medians are directly
-  // comparable. n = 10^4 rides in the quick suite as the CI regression
-  // gate; 10^5 and 10^6 (smaller grids, or setup would dominate) belong to
-  // the full suite and back the committed-baseline speedup claims.
+  // The single-pool allocator at super-optimal scale (pool = m*C):
+  // n = 10^4 rides in the quick suite as the CI regression gate; 10^5 and
+  // 10^6 (smaller grids, or setup would dominate) belong to the full suite.
   struct SoShape {
     std::size_t n;
     aa::util::Resource capacity;
@@ -161,43 +160,38 @@ std::vector<BenchCase> build_suite(std::uint64_t seed) {
   const SoShape so_shapes[] = {
       {10'000, 1000, true}, {100'000, 1000, false}, {1'000'000, 128, false}};
   for (const SoShape& shape : so_shapes) {
-    const std::string suffix = "/n" + std::to_string(shape.n) + "_m8_c" +
-                               std::to_string(shape.capacity);
-    const auto make_threads = [shape, seed] {
-      aa::support::DistributionParams dist;
-      aa::support::Rng rng = aa::support::Rng::child(seed, shape.n);
-      return std::make_shared<const std::vector<aa::util::UtilityPtr>>(
-          aa::util::generate_utilities(shape.n, shape.capacity, dist, rng));
-    };
-    cases.push_back({"super_optimal_serial" + suffix, "super_optimal_serial",
-                     shape.quick, [make_threads, shape] {
-                       auto threads = make_threads();
-                       return [threads, shape] {
-                         return aa::alloc::super_optimal(*threads, 8,
-                                                         shape.capacity)
-                             .utility;
-                       };
-                     }});
-    cases.push_back({"super_optimal_parallel" + suffix,
-                     "super_optimal_parallel", shape.quick,
-                     [make_threads, shape] {
-                       auto threads = make_threads();
-                       return [threads, shape] {
-                         return aa::alloc::super_optimal_parallel(
-                                    *threads, 8, shape.capacity)
-                             .utility;
-                       };
-                     }});
-    cases.push_back({"super_optimal_price" + suffix, "super_optimal_price",
-                     shape.quick, [make_threads, shape] {
-                       auto threads = make_threads();
-                       return [threads, shape] {
-                         return aa::alloc::super_optimal_price(
-                                    *threads, 8, shape.capacity)
-                             .utility;
-                       };
-                     }});
+    cases.push_back(
+        {"super_optimal/n" + std::to_string(shape.n) + "_m8_c" +
+             std::to_string(shape.capacity),
+         "super_optimal", shape.quick, [shape, seed] {
+           aa::support::DistributionParams dist;
+           aa::support::Rng rng = aa::support::Rng::child(seed, shape.n);
+           auto threads =
+               std::make_shared<const std::vector<aa::util::UtilityPtr>>(
+                   aa::util::generate_utilities(shape.n, shape.capacity,
+                                                dist, rng));
+           return [threads, shape] {
+             return aa::alloc::super_optimal(*threads, 8, shape.capacity)
+                 .utility;
+           };
+         }});
   }
+
+  // The same allocator per server (pool = C) on Algorithm 2's placement at
+  // n = 10^4: the threads with c_hat = 0 all land on one server, so one
+  // refine call sees most of the instance.
+  cases.push_back(
+      {"refine/n10000_m8_c1000", "refine", true, [seed] {
+         auto instance =
+             std::make_shared<aa::core::Instance>(make_instance(10'000, seed));
+         auto placement = std::make_shared<aa::core::Assignment>(
+             aa::core::solve_algorithm2(*instance).assignment);
+         return [instance, placement] {
+           return aa::core::total_utility(
+               *instance,
+               aa::core::reoptimize_allocations(*instance, *placement));
+         };
+       }});
 
   // Warm-start paths (svc/warm_start.hpp): one shared state per case; the
   // paths differ only in what happened since the previous solve.

@@ -50,6 +50,11 @@
 //                    function declared in a header, and requires a direct
 //                    include of support/sync.hpp in any file that uses
 //                    the AA_* annotation macros.
+//   oracle-use       the reference allocators of src/alloc/oracle.hpp
+//                    (allocate_greedy, allocate_bisection,
+//                    allocate_dp_exact) are test and benchmark oracles:
+//                    src/ and tools/ may neither call them nor include
+//                    that header (the oracle's own sources excepted).
 //
 // A violation on a specific line can be waived by appending the comment
 //   // aa-lint: allow(<check>)
@@ -737,6 +742,35 @@ class Linter {
     }
   }
 
+  // -- oracle-use ----------------------------------------------------------
+
+  void check_oracle_use() {
+    static const char* const kCheck = "oracle-use";
+    const std::regex scope(R"(^(src|tools)/.*\.(cpp|hpp|h)$)");
+    const std::regex call_re(
+        R"(\ballocate_(greedy|bisection|dp_exact)\b)");
+    const std::regex include_re(
+        R"re(^\s*#\s*include\s*"alloc/oracle\.hpp")re");
+    for (const SourceFile* file : match(scope)) {
+      if (file->rel.rfind("src/alloc/oracle.", 0) == 0) continue;
+      for (auto it = std::sregex_iterator(file->masked.begin(),
+                                          file->masked.end(), call_re);
+           it != std::sregex_iterator(); ++it) {
+        const std::size_t offset = static_cast<std::size_t>(it->position());
+        report(*file, line_of(*file, offset), kCheck,
+               (*it)[0].str() +
+                   " is a test oracle (src/alloc/oracle.hpp); production "
+                   "code uses alloc::allocate_bisection_soa");
+      }
+      for (std::size_t line = 1; line <= file->line_starts.size(); ++line) {
+        if (std::regex_search(line_text(*file, line), include_re)) {
+          report(*file, line, kCheck,
+                 "alloc/oracle.hpp is linked by tests/ and bench/ only");
+        }
+      }
+    }
+  }
+
   // -- include-style -------------------------------------------------------
 
   void check_include_style() {
@@ -1071,6 +1105,7 @@ class Linter {
 constexpr std::string_view kKnownChecks[] = {
     "metric-literals", "metric-registry", "error-codes", "determinism",
     "include-style", "doc-links", "concurrency", "log-registry",
+    "oracle-use",
 };
 
 int usage(int status) {
@@ -1135,6 +1170,7 @@ int main(int argc, char** argv) {
   if (checks.count("doc-links") != 0) linter.check_doc_links();
   if (checks.count("concurrency") != 0) linter.check_concurrency();
   if (checks.count("log-registry") != 0) linter.check_log_registry();
+  if (checks.count("oracle-use") != 0) linter.check_oracle_use();
 
   std::vector<Diagnostic> diagnostics = linter.diagnostics();
   std::sort(diagnostics.begin(), diagnostics.end(),

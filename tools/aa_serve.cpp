@@ -7,7 +7,6 @@
 //            [--hysteresis H] [--resolve-fraction F] [--resolve-min K]
 //            [--shards S] [--fairness static_quota|weighted_max_min|karma]
 //            [--karma-credits B]
-//            [--so-strategy serial|parallel|price] [--so-price-tol T]
 //            [--metrics FILE|-] [--trace-out FILE]
 //            [--log-level off|error|warn|info|debug] [--log-out FILE|-]
 //            [--slow-ms MS] [--slo-ms MS] [--slo-objective R]
@@ -33,11 +32,6 @@
 // the --fairness policy (docs/SERVICE.md "Cross-tenant fairness").
 // --karma-credits sets the opening credit balance minted for tenants
 // created without an explicit "credits" field under the karma policy.
-//
-// --so-strategy routes every solve's super-optimal allocation through the
-// chosen implementation (docs/ALGORITHMS.md "Strategy seam"): serial
-// reference, bit-identical parallel SoA, or price discovery within
-// --so-price-tol of F_hat (default 1e-9; certificates stay valid).
 //
 // --metrics writes the aa::obs blob (svc/* counters, solve timings, and the
 // per-solve certificates) to FILE, or stdout with "-", at exit. --trace-out
@@ -65,7 +59,6 @@
 #include <stdexcept>
 #include <string>
 
-#include "alloc/super_optimal.hpp"
 #include "io/instance_io.hpp"
 #include "obs/chrome_trace.hpp"
 #include "obs/log.hpp"
@@ -123,7 +116,7 @@ int main(int argc, char** argv) {
         {"socket", "stdio", "servers", "capacity", "workers", "batch-max",
          "batch-linger-ms", "deadline-ms", "max-queue", "max-line-bytes",
          "hysteresis", "resolve-fraction", "resolve-min", "shards",
-         "fairness", "karma-credits", "so-strategy", "so-price-tol",
+         "fairness", "karma-credits",
          "metrics", "trace-out", "log-level", "log-out", "slow-ms",
          "slo-ms", "slo-objective", "slow-trace-out"});
     if (!args.positional().empty()) {
@@ -135,20 +128,12 @@ int main(int argc, char** argv) {
                    "[--shards S] "
                    "[--fairness static_quota|weighted_max_min|karma] "
                    "[--karma-credits B] "
-                   "[--so-strategy serial|parallel|price] [--so-price-tol T] "
                    "[--metrics FILE|-] [--trace-out FILE] "
                    "[--log-level off|error|warn|info|debug] "
                    "[--log-out FILE|-] [--slow-ms MS] [--slo-ms MS] "
                    "[--slo-objective R] [--slow-trace-out FILE]\n";
       return 2;
     }
-    // Install the super-optimal strategy before any solver thread starts
-    // (the default is read un-synchronized on the hot path).
-    alloc::SuperOptimalOptions so_options;
-    so_options.strategy = alloc::parse_super_optimal_strategy(
-        args.get("so-strategy", "serial"));
-    so_options.price_tolerance = args.get_double("so-price-tol", 1e-9);
-    alloc::set_default_super_optimal_options(so_options);
     // Belt and braces next to MSG_NOSIGNAL: a client vanishing mid-reply
     // must never kill the server.
     std::signal(SIGPIPE, SIG_IGN);

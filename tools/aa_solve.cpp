@@ -2,16 +2,7 @@
 //
 //   aa_solve INSTANCE.json [--algorithm alg2|alg2raw|alg2h|alg1|exact|bnb|
 //                                       search|uu|ur|ru|rr]
-//            [--so-strategy serial|parallel|price] [--so-price-tol T]
 //            [--format json|text] [--seed S] [--out FILE] [--metrics FILE|-]
-//
-// --so-strategy picks the super-optimal allocation implementation the
-// approximation algorithms consume (docs/ALGORITHMS.md "Strategy seam"):
-// `serial` is the reference bisection, `parallel` the bit-identical SoA
-// rewrite fanned across the thread pool, and `price` the single-price
-// discovery variant whose utility trails F_hat by at most --so-price-tol
-// relative scale (default 1e-9). Branch-and-bound ignores the seam: its
-// pruning needs a true upper bound.
 //
 // The default algorithm is alg2 (Algorithm 2 + per-server refinement, the
 // paper's evaluated configuration). `search` adds local-search
@@ -36,7 +27,6 @@
 #include "aa/heuristics.hpp"
 #include "aa/local_search.hpp"
 #include "aa/refine.hpp"
-#include "alloc/super_optimal.hpp"
 #include "obs/session.hpp"
 #include "support/args.hpp"
 #include "io/instance_io.hpp"
@@ -96,21 +86,14 @@ Solution run(const std::string& algorithm, const core::Instance& instance,
 int main(int argc, char** argv) {
   try {
     const support::Args args(argc, argv,
-                             {"algorithm", "format", "seed", "out", "metrics",
-                              "so-strategy", "so-price-tol"});
+                             {"algorithm", "format", "seed", "out", "metrics"});
     if (args.positional().size() != 1) {
       std::cerr << "usage: aa_solve INSTANCE.json [--algorithm alg2|alg2raw|"
                    "alg2h|alg1|exact|bnb|search|uu|ur|ru|rr] "
-                   "[--so-strategy serial|parallel|price] [--so-price-tol T] "
                    "[--format json|text] "
                    "[--seed S] [--out FILE] [--metrics FILE|-]\n";
       return 2;
     }
-    alloc::SuperOptimalOptions so_options;
-    so_options.strategy = alloc::parse_super_optimal_strategy(
-        args.get("so-strategy", "serial"));
-    so_options.price_tolerance = args.get_double("so-price-tol", 1e-9);
-    alloc::set_default_super_optimal_options(so_options);
     const std::string metrics_path = args.get("metrics", "");
     std::unique_ptr<obs::Session> session;
     if (!metrics_path.empty()) session = std::make_unique<obs::Session>();
