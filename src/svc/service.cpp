@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
+#include <type_traits>
 #include <utility>
 
 #include "obs/log.hpp"
@@ -31,6 +33,32 @@ void merge_into(JsonValue& reply, const JsonValue& payload) {
     reply.set(key, value);
   }
 }
+
+/// The SLO burn-rate windows, labeled as in `slo` and the exposition.
+struct BurnWindow {
+  std::string_view label;
+  std::size_t buckets;
+};
+constexpr BurnWindow kBurnWindows[] = {
+    {"1m", SloWindows::kBuckets1m},
+    {"5m", SloWindows::kBuckets5m},
+    {"30m", SloWindows::kBuckets30m},
+};
+
+/// Stable merge of the sorted `from` into the sorted `into`.
+template <typename T, typename Range, typename Before>
+void merge_sorted(std::vector<T>& into, const Range& from,
+                  const Before& before) {
+  std::vector<T> merged;
+  merged.reserve(into.size() + from.size());
+  std::merge(into.begin(), into.end(), from.begin(), from.end(),
+             std::back_inserter(merged), before);
+  into = std::move(merged);
+}
+
+/// Solve paths in the order `stats` and the exposition list them.
+constexpr SolvePath kSolvePaths[] = {SolvePath::kFull, SolvePath::kWarm,
+                                     SolvePath::kCached};
 
 }  // namespace
 
@@ -165,52 +193,31 @@ void Service::submit_line(const std::string& line, ReplyFn reply) {
   std::size_t depth = 0;
   {
     const support::MutexLock lock(shard.queue_mutex);
-    if (shard.stopping || shutdown_requested()) {
-      const support::MutexLock stats(stats_mutex_);
-      ++requests_total_;
-      ++errors_total_;
+    QueueStats& stats = shard.queue_stats;
+    ++stats.requests;
+    const bool stopping = shard.stopping || shutdown_requested();
+    if (stopping || shard.queue.size() >= config_.max_queue) {
+      ++stats.rejected;
       JsonValue inline_reply =
           pending.error_reply
               ? std::move(*pending.error_reply)
-              : make_error_reply(error_code::kShuttingDown,
-                                 "service is shutting down",
-                                 op_name(pending.request.op),
-                                 pending.request.tag);
+              : make_error_reply(
+                    stopping ? error_code::kShuttingDown
+                             : error_code::kOverflow,
+                    stopping ? "service is shutting down"
+                             : "request queue is full",
+                    op_name(pending.request.op), pending.request.tag);
       inline_reply.set("rid", static_cast<std::int64_t>(pending.rid));
       pending.reply(inline_reply.dump());
       return;
     }
-    if (shard.queue.size() >= config_.max_queue) {
-      const support::MutexLock stats(stats_mutex_);
-      ++requests_total_;
-      ++errors_total_;
-      JsonValue inline_reply =
-          pending.error_reply
-              ? std::move(*pending.error_reply)
-              : make_error_reply(error_code::kOverflow,
-                                 "request queue is full",
-                                 op_name(pending.request.op),
-                                 pending.request.tag);
-      inline_reply.set("rid", static_cast<std::int64_t>(pending.rid));
-      pending.reply(inline_reply.dump());
-      return;
-    }
+    if (op) ++stats.by_op[static_cast<std::size_t>(*op)];
     shard.queue.push_back(std::move(pending));
     depth = shard.queue.size();
+    stats.peak = std::max(stats.peak, depth);
+    stats.depth.sample(static_cast<double>(depth));
   }
   shard.queue_cv.notify_one();
-
-  {
-    const support::MutexLock stats(stats_mutex_);
-    ++requests_total_;
-    if (op) {
-      ++op_counts_[static_cast<std::size_t>(*op)];
-    } else {
-      ++errors_total_;
-    }
-    queue_peak_ = std::max(queue_peak_, depth);
-    queue_depth_.sample(static_cast<double>(depth));
-  }
   obs::sample(obs::metric::kSampleSvcQueueDepth, static_cast<double>(depth));
 }
 
@@ -308,109 +315,137 @@ void Service::deliver_in_order(Shard& shard, std::uint64_t seq,
   shard.deliver_cv.notify_all();
 }
 
-void Service::record_latency(const Pending& pending, Clock::time_point now) {
-  const double wall_ms = ms_between(pending.enqueued, now);
-  {
-    const support::MutexLock stats(stats_mutex_);
-    request_latency_ms_.sample(wall_ms);
-  }
-  obs::sample(obs::metric::kSampleSvcRequest, wall_ms);
-}
-
-double Service::slo_budget() const noexcept {
-  return std::max(1.0 - config_.slo_objective, 1e-6);
-}
-
 void Service::finish_request(Shard& shard, const Pending& pending,
                              const JsonValue& reply,
                              Clock::time_point started,
                              Clock::time_point finished) {
+  const auto text = [&reply](std::string_view key) {
+    const JsonValue* node = reply.find(key);
+    return node != nullptr && node->is_string()
+               ? std::string_view(node->as_string())
+               : std::string_view();
+  };
   const double total_ms = ms_between(pending.enqueued, finished);
-  const double queue_wait_ms = ms_between(pending.enqueued, started);
-
-  CapturedRequest captured;
-  captured.rid = pending.rid;
-  captured.tag = pending.request.tag;
-  captured.enqueued_at_ms = ms_between(started_, pending.enqueued);
-  captured.queue_wait_ms = queue_wait_ms;
-  captured.total_ms = total_ms;
   const JsonValue* ok_node = reply.find("ok");
-  captured.ok =
+  const bool ok =
       ok_node != nullptr && ok_node->is_bool() && ok_node->as_bool();
-  if (const JsonValue* node = reply.find("op");
-      node != nullptr && node->is_string()) {
-    captured.op = node->as_string();
-  } else if (!pending.error_reply) {
-    captured.op = std::string(op_name(pending.request.op));
+  const std::string_view code = text("code");
+  const bool timeout = code == error_code::kTimeout;
+  // A miss is a timeout error or a reply that blew the latency objective.
+  const bool miss =
+      timeout || (config_.slo_ms > 0.0 && total_ms > config_.slo_ms);
+  const bool good = ok && !miss;
+
+  TurnStats& stats = shard.stats;
+  if (!ok) ++stats.errors;
+  if (timeout) ++stats.timeouts;
+  if (miss) {
+    ++stats.deadline_misses;
+    obs::count(obs::metric::kSvcDeadlineMisses);
   }
-  if (const JsonValue* node = reply.find("code");
-      node != nullptr && node->is_string()) {
-    captured.code = node->as_string();
-  }
-  if (const JsonValue* node = reply.find("path");
-      node != nullptr && node->is_string()) {
-    captured.path = node->as_string();
-  }
+  stats.request_latency_ms.sample(total_ms);
+  obs::sample(obs::metric::kSampleSvcRequest, total_ms);
+
   const bool scoped =
       !pending.error_reply && tenant_scoped(pending.request.op);
-  if (scoped) captured.tenant = std::string(tenant_name(pending.request));
-
-  // A miss is a timeout error or a reply that blew the latency objective.
-  const bool miss = captured.code == error_code::kTimeout ||
-                    (config_.slo_ms > 0.0 && total_ms > config_.slo_ms);
-  const bool good = captured.ok && !miss;
-
+  const std::string_view tenant_id =
+      scoped ? tenant_name(pending.request) : std::string_view();
   if (scoped) {
-    const auto it = shard.tenants.find(captured.tenant);
+    const auto it = shard.tenants.find(tenant_id);
     if (it != shard.tenants.end()) {
       Tenant& tenant = *it->second;
       ++tenant.slo_total;
+      if (!ok) ++tenant.errors;
       if (good) ++tenant.slo_good;
       if (miss) ++tenant.deadline_misses;
       tenant.slo_windows.record(ms_between(started_, finished), good);
     }
   }
-  if (miss) obs::count(obs::metric::kSvcDeadlineMisses);
 
-  {
-    const support::MutexLock stats(stats_mutex_);
-    if (miss) ++deadline_misses_;
-    if (slowest_.size() < kTailCapacity ||
-        total_ms > slowest_.back().total_ms) {
+  std::string_view op = text("op");
+  if (op.empty() && !pending.error_reply) op = op_name(pending.request.op);
+  const std::string_view path = text("path");
+  const double queue_wait_ms = ms_between(pending.enqueued, started);
+  const bool in_slowest = stats.slowest.size() < kTailCapacity ||
+                          total_ms > stats.slowest.back().total_ms;
+  if (in_slowest || !ok) {
+    CapturedRequest captured{
+        .rid = pending.rid,
+        .op = std::string(op),
+        .tenant = std::string(tenant_id),
+        .tag = pending.request.tag,
+        .code = std::string(code),
+        .path = std::string(path),
+        .enqueued_at_ms = ms_between(started_, pending.enqueued),
+        .queue_wait_ms = queue_wait_ms,
+        .total_ms = total_ms,
+        .ok = ok,
+    };
+    if (in_slowest) {
       const auto pos = std::upper_bound(
-          slowest_.begin(), slowest_.end(), total_ms,
+          stats.slowest.begin(), stats.slowest.end(), total_ms,
           [](double value, const CapturedRequest& entry) {
             return value > entry.total_ms;
           });
-      slowest_.insert(pos, captured);
-      if (slowest_.size() > kTailCapacity) slowest_.pop_back();
+      stats.slowest.insert(pos, captured);
+      if (stats.slowest.size() > kTailCapacity) stats.slowest.pop_back();
     }
-    if (!captured.ok) {
-      errored_.push_back(captured);
-      if (errored_.size() > kTailCapacity) errored_.pop_front();
+    if (!ok) {
+      stats.errored.push_back(std::move(captured));
+      if (stats.errored.size() > kTailCapacity) stats.errored.pop_front();
     }
   }
 
   // Structured log events; no-ops without an installed Logger.
-  if (!captured.ok) {
+  if (!ok) {
     JsonValue fields;
-    fields.set("op", captured.op);
-    fields.set("code", captured.code);
+    fields.set("op", std::string(op));
+    fields.set("code", std::string(code));
     fields.set("total_ms", total_ms);
     obs::log_event(obs::LogLevel::kWarn, obs::metric::kLogSvcRequestError,
-                   pending.rid, captured.tenant, std::move(fields));
+                   pending.rid, tenant_id, std::move(fields));
   } else if (config_.slow_ms > 0.0 && total_ms >= config_.slow_ms) {
     JsonValue fields;
-    fields.set("op", captured.op);
+    fields.set("op", std::string(op));
     fields.set("total_ms", total_ms);
     fields.set("queue_wait_ms", queue_wait_ms);
-    if (!captured.path.empty()) fields.set("path", captured.path);
+    if (!path.empty()) fields.set("path", std::string(path));
     obs::log_event(obs::LogLevel::kWarn, obs::metric::kLogSvcSlowRequest,
-                   pending.rid, captured.tenant, std::move(fields));
+                   pending.rid, tenant_id, std::move(fields));
   }
 }
 
 JsonValue Service::tail_json() {
+  const support::MutexLock first_turn(shards_.front()->turn_mutex);
+  const AllShardsTurnLock guards(*this);
+  return tail_json_locked();
+}
+
+JsonValue Service::tail_json_locked() {
+  // Each shard's rings are already in order, and a stable merge keeps one
+  // shard's entries exactly as it recorded them.
+  std::vector<CapturedRequest> slowest;
+  std::vector<CapturedRequest> errored;
+  for (const std::unique_ptr<Shard>& shard_ptr : shards_) {
+    Shard& shard = *shard_ptr;
+    assert_turn_held(shard);
+    merge_sorted(slowest, shard.stats.slowest,
+                 [](const CapturedRequest& a, const CapturedRequest& b) {
+                   return a.total_ms > b.total_ms;
+                 });
+    // By finish time, ties broken by rid.
+    merge_sorted(errored, shard.stats.errored,
+                 [](const CapturedRequest& a, const CapturedRequest& b) {
+                   const double a_end = a.enqueued_at_ms + a.total_ms;
+                   const double b_end = b.enqueued_at_ms + b.total_ms;
+                   return a_end < b_end || (a_end == b_end && a.rid < b.rid);
+                 });
+  }
+  if (slowest.size() > kTailCapacity) slowest.resize(kTailCapacity);
+  if (errored.size() > kTailCapacity) {
+    errored.erase(errored.begin(), errored.end() - kTailCapacity);
+  }
+
   const auto entry_json = [](const CapturedRequest& entry) {
     JsonValue node;
     node.set("rid", static_cast<std::int64_t>(entry.rid));
@@ -436,57 +471,39 @@ JsonValue Service::tail_json() {
     node.set("spans", JsonValue(std::move(spans)));
     return node;
   };
-  const support::MutexLock stats(stats_mutex_);
+  const auto ring_json = [&entry_json](
+                             const std::vector<CapturedRequest>& ring) {
+    JsonValue::Array entries;
+    entries.reserve(ring.size());
+    for (const CapturedRequest& entry : ring) {
+      entries.push_back(entry_json(entry));
+    }
+    return JsonValue(std::move(entries));
+  };
   JsonValue payload;
-  JsonValue::Array slowest;
-  slowest.reserve(slowest_.size());
-  for (const CapturedRequest& entry : slowest_) {
-    slowest.push_back(entry_json(entry));
-  }
-  payload.set("slowest", JsonValue(std::move(slowest)));
-  JsonValue::Array errors;
-  errors.reserve(errored_.size());
-  for (const CapturedRequest& entry : errored_) {
-    errors.push_back(entry_json(entry));
-  }
-  payload.set("errors", JsonValue(std::move(errors)));
+  payload.set("slowest", ring_json(slowest));
+  payload.set("errors", ring_json(errored));
   payload.set("capacity", kTailCapacity);
   return payload;
 }
 
 JsonValue Service::slo_json() {
-  const double now_ms = ms_between(started_, Clock::now());
-  const double budget = slo_budget();
+  const Snapshot snap = snapshot();
   JsonValue payload;
   payload.set("objective", config_.slo_objective);
   payload.set("slo_ms", config_.slo_ms);
   JsonValue::Array tenants;
-  for (const std::unique_ptr<Shard>& shard_ptr : shards_) {
-    Shard& shard = *shard_ptr;
-    assert_turn_held(shard);
-    for (const auto& [name, tenant] : shard.tenants) {
-      JsonValue entry;
-      entry.set("tenant", name);
-      entry.set("requests", tenant->slo_total);
-      entry.set("good", tenant->slo_good);
-      entry.set("deadline_misses", tenant->deadline_misses);
-      const double lifetime_miss =
-          tenant->slo_total == 0
-              ? 0.0
-              : static_cast<double>(tenant->slo_total - tenant->slo_good) /
-                    static_cast<double>(tenant->slo_total);
-      entry.set("budget_consumed", lifetime_miss / budget);
-      entry.set("burn_1m", tenant->slo_windows.miss_ratio(
-                               now_ms, SloWindows::kBuckets1m) /
-                               budget);
-      entry.set("burn_5m", tenant->slo_windows.miss_ratio(
-                               now_ms, SloWindows::kBuckets5m) /
-                               budget);
-      entry.set("burn_30m", tenant->slo_windows.miss_ratio(
-                                now_ms, SloWindows::kBuckets30m) /
-                                budget);
-      tenants.push_back(std::move(entry));
+  for (const TenantRow& row : snap.tenants) {
+    JsonValue entry;
+    entry.set("tenant", row.tenant->name);
+    entry.set("requests", row.tenant->slo_total);
+    entry.set("good", row.tenant->slo_good);
+    entry.set("deadline_misses", row.tenant->deadline_misses);
+    entry.set("budget_consumed", row.budget_consumed);
+    for (std::size_t w = 0; w < std::size(kBurnWindows); ++w) {
+      entry.set("burn_" + std::string(kBurnWindows[w].label), row.burn[w]);
     }
+    tenants.push_back(std::move(entry));
   }
   payload.set("tenants", JsonValue(std::move(tenants)));
   return payload;
@@ -546,7 +563,6 @@ void Service::redivide_pool_locked() {
     tenant.state.set_solve_capacity(std::max<util::Resource>(1, per_server));
   }
   obs::count(obs::metric::kSvcTenantRedivides);
-  const support::MutexLock stats(stats_mutex_);
   ++pool_redivides_;
 }
 
@@ -557,8 +573,6 @@ JsonValue Service::tenant_admin(const Request& request) {
   switch (request.op) {
     case Op::kTenantCreate: {
       if (home.tenants.find(name) != home.tenants.end()) {
-        const support::MutexLock stats(stats_mutex_);
-        ++errors_total_;
         return make_error_reply(error_code::kTenantExists,
                                 "tenant '" + name + "' already exists",
                                 op_name(request.op), request.tag);
@@ -575,10 +589,7 @@ JsonValue Service::tenant_admin(const Request& request) {
       policy_->on_tenant_created(
           name, request.credits.value_or(config_.karma_opening_credits));
       obs::count(obs::metric::kSvcTenantCreates);
-      {
-        const support::MutexLock stats(stats_mutex_);
-        ++tenant_creates_;
-      }
+      ++tenant_creates_;
       redivide_pool_locked();
       JsonValue reply = make_ok_reply(request.op, request.tag);
       reply.set("tenant", name);
@@ -592,8 +603,6 @@ JsonValue Service::tenant_admin(const Request& request) {
     case Op::kTenantUpdate: {
       Tenant* tenant = find_tenant(name);
       if (tenant == nullptr) {
-        const support::MutexLock stats(stats_mutex_);
-        ++errors_total_;
         return make_error_reply(error_code::kTenantNotFound,
                                 "no tenant '" + name + "'",
                                 op_name(request.op), request.tag);
@@ -602,10 +611,7 @@ JsonValue Service::tenant_admin(const Request& request) {
       if (request.quota) tenant->quota.quota_units = *request.quota;
       if (request.max_threads) tenant->quota.max_threads = *request.max_threads;
       obs::count(obs::metric::kSvcTenantUpdates);
-      {
-        const support::MutexLock stats(stats_mutex_);
-        ++tenant_updates_;
-      }
+      ++tenant_updates_;
       redivide_pool_locked();
       JsonValue reply = make_ok_reply(request.op, request.tag);
       reply.set("tenant", name);
@@ -617,16 +623,12 @@ JsonValue Service::tenant_admin(const Request& request) {
     }
     case Op::kTenantDelete: {
       if (name == kDefaultTenant) {
-        const support::MutexLock stats(stats_mutex_);
-        ++errors_total_;
         return make_error_reply(error_code::kBadTenant,
                                 "the default tenant cannot be deleted",
                                 op_name(request.op), request.tag);
       }
       const auto it = home.tenants.find(name);
       if (it == home.tenants.end()) {
-        const support::MutexLock stats(stats_mutex_);
-        ++errors_total_;
         return make_error_reply(error_code::kTenantNotFound,
                                 "no tenant '" + name + "'",
                                 op_name(request.op), request.tag);
@@ -635,10 +637,7 @@ JsonValue Service::tenant_admin(const Request& request) {
       home.tenants.erase(it);
       policy_->on_tenant_deleted(name);
       obs::count(obs::metric::kSvcTenantDeletes);
-      {
-        const support::MutexLock stats(stats_mutex_);
-        ++tenant_deletes_;
-      }
+      ++tenant_deletes_;
       redivide_pool_locked();
       JsonValue reply = make_ok_reply(request.op, request.tag);
       reply.set("tenant", name);
@@ -688,11 +687,8 @@ std::vector<Service::Outgoing> Service::process_batch(
   obs::count(obs::metric::kSvcBatches);
   obs::sample(obs::metric::kSampleSvcBatchSize,
               static_cast<double>(batch.size()));
-  {
-    const support::MutexLock stats(stats_mutex_);
-    ++batches_;
-    batch_size_.sample(static_cast<double>(batch.size()));
-  }
+  ++shard.stats.batches;
+  shard.stats.batch_size.sample(static_cast<double>(batch.size()));
 
   std::vector<Outgoing> out;
   out.reserve(batch.size());
@@ -715,22 +711,17 @@ std::vector<Service::Outgoing> Service::process_batch(
     JsonValue reply;
     try {
       if (pending.error_reply) {
-        // Pre-failed at parse time; counted when it was enqueued.
+        // Pre-failed at parse time.
         reply = std::move(*pending.error_reply);
       } else if (shutdown_requested()) {
         reply = make_error_reply(error_code::kShuttingDown,
                                  "service is shutting down",
                                  op_name(request.op), request.tag);
-        const support::MutexLock stats(stats_mutex_);
-        ++errors_total_;
       } else if (started > pending.deadline) {
         reply = make_error_reply(error_code::kTimeout,
                                  "deadline expired before processing",
                                  op_name(request.op), request.tag);
         obs::count(obs::metric::kSvcTimeouts);
-        const support::MutexLock stats(stats_mutex_);
-        ++errors_total_;
-        ++timeouts_;
       } else if (tenant_scoped(request.op)) {
         const std::string_view name = tenant_name(request);
         const auto it = shard.tenants.find(name);
@@ -741,10 +732,7 @@ std::vector<Service::Outgoing> Service::process_batch(
               error_code::kTenantNotFound,
               "no tenant '" + std::string(name) + "'",
               op_name(request.op), request.tag);
-          const support::MutexLock stats(stats_mutex_);
-          ++errors_total_;
         } else {
-          ++tenant->requests;
           switch (request.op) {
             case Op::kAddThread: {
               if (tenant->quota.max_threads > 0 &&
@@ -756,9 +744,6 @@ std::vector<Service::Outgoing> Service::process_batch(
                         std::to_string(tenant->quota.max_threads) +
                         "-thread quota",
                     op_name(request.op), request.tag);
-                ++tenant->errors;
-                const support::MutexLock stats(stats_mutex_);
-                ++errors_total_;
                 break;
               }
               const ThreadId id = tenant->state.add_thread(request.utility);
@@ -783,9 +768,6 @@ std::vector<Service::Outgoing> Service::process_batch(
                     error_code::kNotFound,
                     "no thread with id " + std::to_string(*request.id),
                     op_name(request.op), request.tag);
-                ++tenant->errors;
-                const support::MutexLock stats(stats_mutex_);
-                ++errors_total_;
               }
               break;
             }
@@ -807,9 +789,6 @@ std::vector<Service::Outgoing> Service::process_batch(
                     error_code::kNotFound,
                     "no thread with id " + std::to_string(*request.id),
                     op_name(request.op), request.tag);
-                ++tenant->errors;
-                const support::MutexLock stats(stats_mutex_);
-                ++errors_total_;
               }
               break;
             }
@@ -841,8 +820,9 @@ std::vector<Service::Outgoing> Service::process_batch(
             break;
           }
           case Op::kTrace: {
+            const AllShardsTurnLock guards(*this);
             reply = make_ok_reply(request.op, request.tag);
-            merge_into(reply, tail_json());
+            merge_into(reply, tail_json_locked());
             break;
           }
           case Op::kSlo: {
@@ -885,8 +865,6 @@ std::vector<Service::Outgoing> Service::process_batch(
       reply = make_error_reply(error_code::kInternal, error.what(),
                                op_name(request.op), request.tag);
       obs::count(obs::metric::kSvcInternalErrors);
-      const support::MutexLock stats(stats_mutex_);
-      ++errors_total_;
     }
     reply.set("rid", static_cast<std::int64_t>(pending.rid));
     out.push_back(Outgoing{pending.reply, std::move(reply)});
@@ -903,8 +881,6 @@ std::vector<Service::Outgoing> Service::process_batch(
             op_name(Op::kSolve), batch[slot].request.tag);
         out[slot].value.set(
             "rid", static_cast<std::int64_t>(batch[slot].rid));
-        const support::MutexLock stats(stats_mutex_);
-        ++errors_total_;
       }
       continue;
     }
@@ -929,19 +905,13 @@ std::vector<Service::Outgoing> Service::process_batch(
           break;
       }
       ++tenant->solves_by_path[static_cast<std::size_t>(solved.path)];
-      {
-        const support::MutexLock stats(stats_mutex_);
-        ++solves_by_path_[static_cast<std::size_t>(solved.path)];
-        solves_coalesced_ +=
-            static_cast<std::int64_t>(group.slots.size()) - 1;
-        migrations_total_ += static_cast<std::int64_t>(solved.migrations);
-        if (solved.certificate.ok()) {
-          ++certificates_pass_;
-        } else {
-          ++certificates_fail_;
-        }
-        solve_latency_ms_.sample(solve_ms);
-      }
+      TurnStats& stats = shard.stats;
+      ++stats.solves_by_path[static_cast<std::size_t>(solved.path)];
+      stats.coalesced += static_cast<std::int64_t>(group.slots.size()) - 1;
+      stats.migrations += static_cast<std::int64_t>(solved.migrations);
+      ++(solved.certificate.ok() ? stats.certificates_pass
+                                 : stats.certificates_fail);
+      stats.solve_latency_ms.sample(solve_ms);
       const JsonValue payload = solve_payload(solved, solve_ms);
       for (const std::size_t slot : group.slots) {
         JsonValue reply = make_ok_reply(Op::kSolve, batch[slot].request.tag);
@@ -960,15 +930,12 @@ std::vector<Service::Outgoing> Service::process_batch(
                              op_name(Op::kSolve), batch[slot].request.tag);
         out[slot].value.set(
             "rid", static_cast<std::int64_t>(batch[slot].rid));
-        const support::MutexLock stats(stats_mutex_);
-        ++errors_total_;
       }
     }
   }
 
   const Clock::time_point finished = Clock::now();
   for (std::size_t i = 0; i < batch.size(); ++i) {
-    record_latency(batch[i], finished);
     finish_request(shard, batch[i], out[i].value, started, finished);
   }
   return out;
@@ -1008,31 +975,74 @@ JsonValue Service::solve_payload(const ServiceSolveResult& solved,
   return payload;
 }
 
-std::size_t Service::total_queue_depth() {
-  std::size_t depth = 0;
-  for (const std::unique_ptr<Shard>& shard : shards_) {
-    const support::MutexLock lock(shard->queue_mutex);
-    depth += shard->queue.size();
-  }
-  return depth;
+void Service::QueueStats::merge(const QueueStats& other) {
+  requests += other.requests;
+  for (std::size_t i = 0; i < kNumOps; ++i) by_op[i] += other.by_op[i];
+  rejected += other.rejected;
+  peak = std::max(peak, other.peak);
+  depth.merge(other.depth);
 }
 
-JsonValue Service::stats_json() {
-  const std::size_t depth = total_queue_depth();
+void Service::TurnStats::merge(const TurnStats& other) {
+  errors += other.errors;
+  timeouts += other.timeouts;
+  deadline_misses += other.deadline_misses;
+  batches += other.batches;
+  for (std::size_t i = 0; i < std::size(solves_by_path); ++i) {
+    solves_by_path[i] += other.solves_by_path[i];
+  }
+  coalesced += other.coalesced;
+  migrations += other.migrations;
+  certificates_pass += other.certificates_pass;
+  certificates_fail += other.certificates_fail;
+  batch_size.merge(other.batch_size);
+  request_latency_ms.merge(other.request_latency_ms);
+  solve_latency_ms.merge(other.solve_latency_ms);
+}
 
-  std::size_t threads = 0;
-  std::uint64_t version = 0;
-  std::size_t tenant_count = 0;
+Service::Snapshot Service::snapshot() {
+  const double now_ms = ms_between(started_, Clock::now());
+  // Error budget (1 - slo_objective), floored so burn rates stay finite.
+  const double budget = std::max(1.0 - config_.slo_objective, 1e-6);
+  static_assert(std::size(kBurnWindows) ==
+                std::extent_v<decltype(TenantRow::burn)>);
+  Snapshot snap;
   for (const std::unique_ptr<Shard>& shard_ptr : shards_) {
     Shard& shard = *shard_ptr;
     assert_turn_held(shard);
+    snap.turn.merge(shard.stats);
+    {
+      const support::MutexLock lock(shard.queue_mutex);
+      snap.queue.merge(shard.queue_stats);
+      snap.queue_depth += shard.queue.size();
+    }
     for (const auto& [name, tenant] : shard.tenants) {
-      threads += tenant->state.num_threads();
-      version += tenant->state.version();
-      ++tenant_count;
+      snap.threads += tenant->state.num_threads();
+      snap.version += tenant->state.version();
+      TenantRow row;
+      row.tenant = tenant.get();
+      row.credits = policy_->credits(name);
+      const double lifetime_miss =
+          tenant->slo_total == 0
+              ? 0.0
+              : static_cast<double>(tenant->slo_total - tenant->slo_good) /
+                    static_cast<double>(tenant->slo_total);
+      row.budget_consumed = lifetime_miss / budget;
+      for (std::size_t w = 0; w < std::size(kBurnWindows); ++w) {
+        row.burn[w] =
+            tenant->slo_windows.miss_ratio(now_ms, kBurnWindows[w].buckets) /
+            budget;
+      }
+      snap.tenants.push_back(row);
     }
   }
+  return snap;
+}
 
+JsonValue Service::stats_json() {
+  const Snapshot snap = snapshot();
+  const QueueStats& queue = snap.queue;
+  const TurnStats& turn = snap.turn;
   const auto latency_json = [](const obs::Histogram& histogram) {
     JsonValue node;
     node.set("count", histogram.count());
@@ -1047,60 +1057,54 @@ JsonValue Service::stats_json() {
     return node;
   };
 
-  const support::MutexLock stats(stats_mutex_);
   JsonValue payload;
-  payload.set("threads", threads);
+  payload.set("threads", snap.threads);
   payload.set("servers", config_.num_servers);
   payload.set("capacity", config_.capacity);
-  payload.set("version", version);
-  payload.set("tenants", tenant_count);
+  payload.set("version", snap.version);
+  payload.set("tenants", snap.tenants.size());
   payload.set("shards", shards_.size());
   payload.set("policy", fairness_policy_name(policy_->kind()));
   payload.set("pool_units", pool_units());
-  payload.set("queue_depth", depth);
-  payload.set("queue_peak", queue_peak_);
-  payload.set("requests_total", requests_total_);
+  payload.set("queue_depth", snap.queue_depth);
+  payload.set("queue_peak", queue.peak);
+  payload.set("requests_total", queue.requests);
   JsonValue ops;
-  for (const Op op :
-       {Op::kAddThread, Op::kRemoveThread, Op::kUpdateUtility, Op::kSolve,
-        Op::kStats, Op::kMetrics, Op::kTrace, Op::kSlo, Op::kShutdown,
-        Op::kTenantCreate, Op::kTenantUpdate, Op::kTenantDelete,
-        Op::kTenantList}) {
-    ops.set(std::string(op_name(op)),
-            op_counts_[static_cast<std::size_t>(op)]);
+  for (std::size_t i = 0; i < kNumOps; ++i) {
+    ops.set(std::string(op_name(static_cast<Op>(i))), queue.by_op[i]);
   }
   payload.set("requests", std::move(ops));
-  payload.set("errors_total", errors_total_);
-  payload.set("timeouts", timeouts_);
-  payload.set("deadline_misses", deadline_misses_);
-  payload.set("batches", batches_);
+  payload.set("errors_total", queue.rejected + turn.errors);
+  payload.set("timeouts", turn.timeouts);
+  payload.set("deadline_misses", turn.deadline_misses);
+  payload.set("batches", turn.batches);
   JsonValue batching;
-  batching.set("mean_size", batch_size_.mean());
-  batching.set("max_size", batch_size_.max());
+  batching.set("mean_size", turn.batch_size.mean());
+  batching.set("max_size", turn.batch_size.max());
   payload.set("batching", std::move(batching));
   JsonValue solves;
-  solves.set("full",
-             solves_by_path_[static_cast<std::size_t>(SolvePath::kFull)]);
-  solves.set("warm",
-             solves_by_path_[static_cast<std::size_t>(SolvePath::kWarm)]);
-  solves.set("cached",
-             solves_by_path_[static_cast<std::size_t>(SolvePath::kCached)]);
-  solves.set("coalesced", solves_coalesced_);
+  for (const SolvePath path : kSolvePaths) {
+    solves.set(solve_path_name(path),
+               turn.solves_by_path[static_cast<std::size_t>(path)]);
+  }
+  solves.set("coalesced", turn.coalesced);
   payload.set("solves", std::move(solves));
-  payload.set("migrations", migrations_total_);
+  payload.set("migrations", turn.migrations);
   JsonValue tenant_ops;
   tenant_ops.set("creates", tenant_creates_);
   tenant_ops.set("updates", tenant_updates_);
   tenant_ops.set("deletes", tenant_deletes_);
   tenant_ops.set("redivides", pool_redivides_);
   payload.set("tenant_ops", std::move(tenant_ops));
-  payload.set("request_latency", latency_json(request_latency_ms_));
-  payload.set("solve_latency", latency_json(solve_latency_ms_));
+  payload.set("request_latency", latency_json(turn.request_latency_ms));
+  payload.set("solve_latency", latency_json(turn.solve_latency_ms));
   return payload;
 }
 
 std::string Service::metrics_text() {
-  const std::size_t depth = total_queue_depth();
+  const Snapshot snap = snapshot();
+  const QueueStats& queue = snap.queue;
+  const TurnStats& turn = snap.turn;
 
   std::string out;
   out.reserve(8192);
@@ -1109,153 +1113,89 @@ std::string Service::metrics_text() {
 
   // Per-tenant labeled families first (tenant ids are [A-Za-z0-9_.-], so
   // label values never need escaping). Cardinality is bounded by the live
-  // tenant count — docs/OBSERVABILITY.md "Per-tenant labels".
-  std::size_t threads = 0;
-  std::uint64_t version = 0;
-  std::size_t tenant_count = 0;
-  struct Row {
-    std::string labels;
-    const Tenant* tenant = nullptr;
-  };
-  std::vector<Row> rows;
-  for (const std::unique_ptr<Shard>& shard_ptr : shards_) {
-    Shard& shard = *shard_ptr;
-    assert_turn_held(shard);
-    for (const auto& [name, tenant] : shard.tenants) {
-      threads += tenant->state.num_threads();
-      version += tenant->state.version();
-      ++tenant_count;
-      rows.push_back(Row{"tenant=\"" + name + "\"", tenant.get()});
-    }
-  }
+  // tenant count — docs/OBSERVABILITY.md "Per-tenant labels". The SLO
+  // families close the block (docs/OBSERVABILITY.md "Request tracing,
+  // structured logs & SLOs"): deadline misses, lifetime error-budget
+  // consumption, and multi-window burn rates.
   obs::prometheus_gauge(out, "aa_svc_tenants",
-                        static_cast<double>(tenant_count));
+                        static_cast<double>(snap.tenants.size()));
   obs::prometheus_gauge(out, "aa_svc_shards",
                         static_cast<double>(shards_.size()));
-  obs::prometheus_header(out, "aa_svc_tenant_requests_total", "counter");
-  for (const Row& row : rows) {
-    obs::prometheus_sample(out, "aa_svc_tenant_requests_total", row.labels,
-                           row.tenant->requests);
-  }
-  obs::prometheus_header(out, "aa_svc_tenant_errors_total", "counter");
-  for (const Row& row : rows) {
-    obs::prometheus_sample(out, "aa_svc_tenant_errors_total", row.labels,
-                           row.tenant->errors);
-  }
+  const auto tenant_label = [](const TenantRow& row) {
+    return "tenant=\"" + row.tenant->name + "\"";
+  };
+  const auto per_tenant = [&](std::string_view family, std::string_view type,
+                              const auto& read) {
+    obs::prometheus_header(out, family, type);
+    for (const TenantRow& row : snap.tenants) {
+      obs::prometheus_sample(out, family, tenant_label(row), read(row));
+    }
+  };
+  per_tenant("aa_svc_tenant_requests_total", "counter",
+             [](const TenantRow& row) { return row.tenant->slo_total; });
+  per_tenant("aa_svc_tenant_errors_total", "counter",
+             [](const TenantRow& row) { return row.tenant->errors; });
   obs::prometheus_header(out, "aa_svc_tenant_solves_total", "counter");
-  for (const Row& row : rows) {
-    obs::prometheus_sample(
-        out, "aa_svc_tenant_solves_total", row.labels + ",path=\"full\"",
-        row.tenant->solves_by_path[static_cast<std::size_t>(
-            SolvePath::kFull)]);
-    obs::prometheus_sample(
-        out, "aa_svc_tenant_solves_total", row.labels + ",path=\"warm\"",
-        row.tenant->solves_by_path[static_cast<std::size_t>(
-            SolvePath::kWarm)]);
-    obs::prometheus_sample(
-        out, "aa_svc_tenant_solves_total", row.labels + ",path=\"cached\"",
-        row.tenant->solves_by_path[static_cast<std::size_t>(
-            SolvePath::kCached)]);
+  for (const TenantRow& row : snap.tenants) {
+    for (const SolvePath path : kSolvePaths) {
+      obs::prometheus_sample(
+          out, "aa_svc_tenant_solves_total",
+          tenant_label(row) + ",path=\"" + solve_path_name(path) + "\"",
+          row.tenant->solves_by_path[static_cast<std::size_t>(path)]);
+    }
   }
-  obs::prometheus_header(out, "aa_svc_tenant_threads", "gauge");
-  for (const Row& row : rows) {
-    obs::prometheus_sample(
-        out, "aa_svc_tenant_threads", row.labels,
-        static_cast<double>(row.tenant->state.num_threads()));
-  }
-  obs::prometheus_header(out, "aa_svc_tenant_slice_units", "gauge");
-  for (const Row& row : rows) {
-    obs::prometheus_sample(out, "aa_svc_tenant_slice_units", row.labels,
-                           row.tenant->slice_units);
-  }
-  obs::prometheus_header(out, "aa_svc_tenant_demand_units", "gauge");
-  for (const Row& row : rows) {
-    obs::prometheus_sample(out, "aa_svc_tenant_demand_units", row.labels,
-                           row.tenant->demand_units);
-  }
-  obs::prometheus_header(out, "aa_svc_tenant_credits", "gauge");
-  for (const Row& row : rows) {
-    obs::prometheus_sample(out, "aa_svc_tenant_credits", row.labels,
-                           policy_->credits(row.tenant->name));
-  }
-
-  // SLO accounting (docs/OBSERVABILITY.md "Request tracing, structured
-  // logs & SLOs"): deadline misses, lifetime error-budget consumption,
-  // and multi-window burn rates per tenant.
-  const double slo_now_ms = ms_between(started_, Clock::now());
-  const double budget = slo_budget();
-  obs::prometheus_header(out, "aa_svc_tenant_deadline_miss_total",
-                         "counter");
-  for (const Row& row : rows) {
-    obs::prometheus_sample(out, "aa_svc_tenant_deadline_miss_total",
-                           row.labels, row.tenant->deadline_misses);
-  }
-  obs::prometheus_header(out, "aa_svc_slo_budget_ratio", "gauge");
-  for (const Row& row : rows) {
-    const double lifetime_miss =
-        row.tenant->slo_total == 0
-            ? 0.0
-            : static_cast<double>(row.tenant->slo_total -
-                                  row.tenant->slo_good) /
-                  static_cast<double>(row.tenant->slo_total);
-    obs::prometheus_sample(out, "aa_svc_slo_budget_ratio", row.labels,
-                           lifetime_miss / budget);
-  }
+  per_tenant("aa_svc_tenant_threads", "gauge", [](const TenantRow& row) {
+    return static_cast<double>(row.tenant->state.num_threads());
+  });
+  per_tenant("aa_svc_tenant_slice_units", "gauge",
+             [](const TenantRow& row) { return row.tenant->slice_units; });
+  per_tenant("aa_svc_tenant_demand_units", "gauge",
+             [](const TenantRow& row) { return row.tenant->demand_units; });
+  per_tenant("aa_svc_tenant_credits", "gauge",
+             [](const TenantRow& row) { return row.credits; });
+  per_tenant("aa_svc_tenant_deadline_miss_total", "counter",
+             [](const TenantRow& row) { return row.tenant->deadline_misses; });
+  per_tenant("aa_svc_slo_budget_ratio", "gauge",
+             [](const TenantRow& row) { return row.budget_consumed; });
   obs::prometheus_header(out, "aa_svc_slo_burn_rate", "gauge");
-  for (const Row& row : rows) {
-    obs::prometheus_sample(
-        out, "aa_svc_slo_burn_rate", row.labels + ",window=\"1m\"",
-        row.tenant->slo_windows.miss_ratio(slo_now_ms,
-                                           SloWindows::kBuckets1m) /
-            budget);
-    obs::prometheus_sample(
-        out, "aa_svc_slo_burn_rate", row.labels + ",window=\"5m\"",
-        row.tenant->slo_windows.miss_ratio(slo_now_ms,
-                                           SloWindows::kBuckets5m) /
-            budget);
-    obs::prometheus_sample(
-        out, "aa_svc_slo_burn_rate", row.labels + ",window=\"30m\"",
-        row.tenant->slo_windows.miss_ratio(slo_now_ms,
-                                           SloWindows::kBuckets30m) /
-            budget);
+  for (const TenantRow& row : snap.tenants) {
+    for (std::size_t w = 0; w < std::size(kBurnWindows); ++w) {
+      obs::prometheus_sample(out, "aa_svc_slo_burn_rate",
+                             tenant_label(row) + ",window=\"" +
+                                 std::string(kBurnWindows[w].label) + "\"",
+                             row.burn[w]);
+    }
   }
 
-  const support::MutexLock stats(stats_mutex_);
-  obs::prometheus_counter(out, "aa_svc_requests_total", requests_total_);
+  obs::prometheus_counter(out, "aa_svc_requests_total", queue.requests);
   obs::prometheus_header(out, "aa_svc_requests_by_op_total", "counter");
-  for (const Op op :
-       {Op::kAddThread, Op::kRemoveThread, Op::kUpdateUtility, Op::kSolve,
-        Op::kStats, Op::kMetrics, Op::kTrace, Op::kSlo, Op::kShutdown,
-        Op::kTenantCreate, Op::kTenantUpdate, Op::kTenantDelete,
-        Op::kTenantList}) {
-    const std::string labels =
-        "op=\"" + std::string(op_name(op)) + "\"";
-    obs::prometheus_sample(out, "aa_svc_requests_by_op_total", labels,
-                           op_counts_[static_cast<std::size_t>(op)]);
+  for (std::size_t i = 0; i < kNumOps; ++i) {
+    obs::prometheus_sample(
+        out, "aa_svc_requests_by_op_total",
+        "op=\"" + std::string(op_name(static_cast<Op>(i))) + "\"",
+        queue.by_op[i]);
   }
-  obs::prometheus_counter(out, "aa_svc_errors_total", errors_total_);
-  obs::prometheus_counter(out, "aa_svc_timeouts_total", timeouts_);
+  obs::prometheus_counter(out, "aa_svc_errors_total",
+                          queue.rejected + turn.errors);
+  obs::prometheus_counter(out, "aa_svc_timeouts_total", turn.timeouts);
   obs::prometheus_counter(out, "aa_svc_deadline_miss_total",
-                          deadline_misses_);
-  obs::prometheus_counter(out, "aa_svc_batches_total", batches_);
+                          turn.deadline_misses);
+  obs::prometheus_counter(out, "aa_svc_batches_total", turn.batches);
   obs::prometheus_counter(out, "aa_svc_solves_coalesced_total",
-                          solves_coalesced_);
+                          turn.coalesced);
   obs::prometheus_header(out, "aa_svc_solves_total", "counter");
-  obs::prometheus_sample(
-      out, "aa_svc_solves_total", "path=\"full\"",
-      solves_by_path_[static_cast<std::size_t>(SolvePath::kFull)]);
-  obs::prometheus_sample(
-      out, "aa_svc_solves_total", "path=\"warm\"",
-      solves_by_path_[static_cast<std::size_t>(SolvePath::kWarm)]);
-  obs::prometheus_sample(
-      out, "aa_svc_solves_total", "path=\"cached\"",
-      solves_by_path_[static_cast<std::size_t>(SolvePath::kCached)]);
-  obs::prometheus_counter(out, "aa_svc_migrations_total", migrations_total_);
+  for (const SolvePath path : kSolvePaths) {
+    obs::prometheus_sample(
+        out, "aa_svc_solves_total",
+        "path=\"" + std::string(solve_path_name(path)) + "\"",
+        turn.solves_by_path[static_cast<std::size_t>(path)]);
+  }
+  obs::prometheus_counter(out, "aa_svc_migrations_total", turn.migrations);
   obs::prometheus_header(out, "aa_svc_certificates_total", "counter");
   obs::prometheus_sample(out, "aa_svc_certificates_total",
-                         "verdict=\"pass\"", certificates_pass_);
+                         "verdict=\"pass\"", turn.certificates_pass);
   obs::prometheus_sample(out, "aa_svc_certificates_total",
-                         "verdict=\"fail\"", certificates_fail_);
+                         "verdict=\"fail\"", turn.certificates_fail);
   obs::prometheus_counter(out, "aa_svc_tenant_creates_total",
                           tenant_creates_);
   obs::prometheus_counter(out, "aa_svc_tenant_updates_total",
@@ -1265,23 +1205,23 @@ std::string Service::metrics_text() {
   obs::prometheus_counter(out, "aa_svc_pool_redivides_total",
                           pool_redivides_);
   obs::prometheus_gauge(out, "aa_svc_queue_depth",
-                        static_cast<double>(depth));
+                        static_cast<double>(snap.queue_depth));
   obs::prometheus_gauge(out, "aa_svc_queue_peak",
-                        static_cast<double>(queue_peak_));
+                        static_cast<double>(queue.peak));
   obs::prometheus_gauge(out, "aa_svc_threads",
-                        static_cast<double>(threads));
+                        static_cast<double>(snap.threads));
   obs::prometheus_gauge(out, "aa_svc_state_version",
-                        static_cast<double>(version));
+                        static_cast<double>(snap.version));
   obs::prometheus_histogram(out, "aa_svc_request_latency_ms",
-                            request_latency_ms_);
+                            turn.request_latency_ms);
   obs::prometheus_summary(out, "aa_svc_request_latency_quantiles_ms",
-                          request_latency_ms_);
+                          turn.request_latency_ms);
   obs::prometheus_histogram(out, "aa_svc_solve_latency_ms",
-                            solve_latency_ms_);
+                            turn.solve_latency_ms);
   obs::prometheus_summary(out, "aa_svc_solve_latency_quantiles_ms",
-                          solve_latency_ms_);
-  obs::prometheus_histogram(out, "aa_svc_batch_size", batch_size_);
-  obs::prometheus_histogram(out, "aa_svc_queue_depth_samples", queue_depth_);
+                          turn.solve_latency_ms);
+  obs::prometheus_histogram(out, "aa_svc_batch_size", turn.batch_size);
+  obs::prometheus_histogram(out, "aa_svc_queue_depth_samples", queue.depth);
 
   // Session-side drop accounting, so truncated telemetry is visible from
   // the same scrape that would be misled by it.

@@ -10,10 +10,11 @@
 // reply sequencer of its own:
 //
 //   - Every drain worker is pinned to exactly one shard (worker i drains
-//     shard i mod shards), and a shard's state is only ever touched under
-//     that shard's turn lock — so steady-state traffic for tenants on
-//     different shards never contends on any lock (the acceptance
-//     property behind the TSan soak in CI).
+//     shard i mod shards), and a shard's state and stats are only ever
+//     touched under that shard's own locks — so steady-state traffic for
+//     tenants on different shards never contends on any service lock
+//     (the acceptance property behind the TSan soak in CI; an installed
+//     obs session keeps its own).
 //   - Within a shard, workers take strict turns draining: one worker pops
 //     a *batch* of up to `batch_max` requests (lingering `batch_linger_ms`
 //     after the first so bursts coalesce), applies every delta in arrival
@@ -27,8 +28,9 @@
 //   - Tenant-less control requests (stats, metrics, shutdown, and the
 //     tenant_* admin verbs) are routed to shard 0; the ones that must see
 //     every shard briefly acquire the other shards' turn locks in
-//     ascending order — only the shard-0 worker ever holds more than one
-//     turn lock, so the ordering is deadlock-free. Tenant churn
+//     ascending order — only the shard-0 worker (and tail_json(), which
+//     takes shard 0's first) ever holds more than one turn lock, so the
+//     ordering is deadlock-free. Tenant churn
 //     (create/update/delete) re-divides the global capacity pool across
 //     tenants through the configured FairnessPolicy (svc/fairness.hpp)
 //     and publishes each tenant's slice as its InstanceState solve
@@ -41,11 +43,14 @@
 //     carrying the 0.828-approximation certificate verdict for that
 //     tenant's sliced instance.
 //
-// The service keeps its own counters and log2-bucketed latency histograms
-// (obs/histogram.hpp) behind stats_mutex_ — surfaced as quantiles by the
-// `stats` op and as a Prometheus text exposition by the `metrics` op
-// (metrics_text, including per-tenant labeled families) — and mirrors
-// them into the installed aa::obs session (svc/* counters, svc/batch +
+// Each shard counts its own figures under a lock its writer already holds
+// (Shard::queue_stats under queue_mutex, Shard::stats under turn_mutex;
+// log2-bucketed obs/histogram.hpp distributions merge exactly), and every
+// per-request figure is recorded once, by finish_request, from the built
+// reply. The `stats` op (quantiles), the `metrics` op (metrics_text, a
+// Prometheus exposition with per-tenant labeled families) and the `trace`
+// op merge the shards under every turn lock. The service also mirrors its
+// figures into the installed aa::obs session (svc/* counters, svc/batch +
 // svc/solve phase timers, queue-depth / batch-size / request-latency
 // histogram samples, queue-wait spans and warm-start path instants on the
 // trace rings), so `aa_serve --metrics` and `--trace-out` export them
@@ -57,15 +62,16 @@
 //
 //   shard.turn_mutex       shard 0's first, then the others ascending
 //     -> shard.queue_mutex (AllShardsTurnLock; only the shard-0 worker
-//       -> stats_mutex_     ever holds more than one turn lock)
+//                          and tail_json() ever hold more than one turn
+//                          lock)
 //   shard.deliver_mutex    independent: held alone while replies drain
 //
 // queue_mutex is also taken on its own by submit_line (producers never
-// touch a turn lock), and stats_mutex_ is a brief leaf taken from any
-// path. The inexpressible "every shard's turn lock" set is named by the
-// all_turns_ phantom capability: AllShardsTurnLock really locks the
-// other shards' turns and acquires the phantom, and the cross-shard
-// *_locked()/control helpers declare AA_REQUIRES(all_turns_).
+// touch a turn lock), so a request takes only its own shard's locks. The
+// inexpressible "every shard's turn lock" set is named by the all_turns_
+// phantom capability: AllShardsTurnLock really locks the other shards'
+// turns and acquires the phantom, and the cross-shard *_locked()/control
+// helpers declare AA_REQUIRES(all_turns_).
 
 #include <atomic>
 #include <chrono>
@@ -166,9 +172,10 @@ class Service {
 
   /// Tail-based capture snapshot: the K slowest and the K most recent
   /// errored requests with their rid, tenant, outcome, and span chain.
-  /// Served by the `trace` verb and dumped by aa_serve --slow-trace-out
-  /// at shutdown. Thread-safe.
-  [[nodiscard]] support::JsonValue tail_json() AA_EXCLUDES(stats_mutex_);
+  /// Dumped by aa_serve --slow-trace-out at shutdown; takes every turn
+  /// lock, shard 0's first, like the shard-0 worker. Thread-safe; never
+  /// call from a reply callback.
+  [[nodiscard]] support::JsonValue tail_json() AA_EXCLUDES(all_turns_);
 
  private:
   using Clock = std::chrono::steady_clock;
@@ -202,6 +209,62 @@ class Service {
     bool ok = true;
   };
 
+  /// What one shard's submit path counts, under its queue_mutex.
+  struct QueueStats {
+    std::int64_t requests = 0;
+    std::int64_t by_op[kNumOps] = {};
+    /// Overflow and shutdown rejects, answered inline by submit_line.
+    std::int64_t rejected = 0;
+    std::size_t peak = 0;
+    obs::Histogram depth;
+
+    void merge(const QueueStats& other);
+  };
+
+  static constexpr std::size_t kTailCapacity = 32;
+
+  /// What one shard's drain turn counts, under its turn_mutex.
+  struct TurnStats {
+    std::int64_t errors = 0;
+    std::int64_t timeouts = 0;
+    std::int64_t deadline_misses = 0;
+    std::int64_t batches = 0;
+    std::int64_t solves_by_path[3] = {};  ///< Indexed by SolvePath.
+    std::int64_t coalesced = 0;
+    std::int64_t migrations = 0;
+    std::int64_t certificates_pass = 0;
+    std::int64_t certificates_fail = 0;
+    obs::Histogram batch_size;
+    obs::Histogram request_latency_ms;
+    obs::Histogram solve_latency_ms;
+    /// Tail capture (docs/SERVICE.md `trace` verb): the shard's K slowest
+    /// requests (slowest-first) and its K most recent errored ones.
+    std::vector<CapturedRequest> slowest;
+    std::deque<CapturedRequest> errored;
+
+    /// Adds the counters and histograms; the tails are merged by
+    /// tail_json_locked().
+    void merge(const TurnStats& other);
+  };
+
+  /// One tenant's row of a Snapshot.
+  struct TenantRow {
+    const Tenant* tenant = nullptr;
+    double credits = 0.0;
+    double budget_consumed = 0.0;
+    double burn[3] = {};  ///< Over the 1m / 5m / 30m windows.
+  };
+
+  /// Every shard's figures merged, plus one walk over the tenants.
+  struct Snapshot {
+    QueueStats queue;
+    TurnStats turn;
+    std::size_t queue_depth = 0;
+    std::size_t threads = 0;
+    std::uint64_t version = 0;
+    std::vector<TenantRow> tenants;
+  };
+
   /// Rendered-later reply: the JSON tree plus its destination.
   struct Outgoing {
     ReplyFn reply;
@@ -215,9 +278,10 @@ class Service {
     // Guards `tenants` — cross-shard readers (stats/metrics/tenant_list)
     // and tenant churn take every shard's turn lock in ascending order
     // (AllShardsTurnLock + the all_turns_ phantom).
-    // Lock order: root — taken before queue_mutex and stats_mutex_.
+    // Lock order: root — taken before queue_mutex.
     support::Mutex turn_mutex;
     std::uint64_t next_batch_seq AA_GUARDED_BY(turn_mutex) = 0;
+    TurnStats stats AA_GUARDED_BY(turn_mutex);
     // Ordered by tenant id: iteration feeds the fairness division and the
     // exposition, both of which must be deterministic. The map is guarded
     // by turn_mutex; the Tenant objects behind the unique_ptrs are too
@@ -226,11 +290,12 @@ class Service {
         AA_GUARDED_BY(turn_mutex);
 
     // Lock order: after this shard's turn_mutex (pop_batch pops under a
-    // drain turn; submit_line takes it alone), before stats_mutex_.
+    // drain turn; submit_line takes it alone).
     support::Mutex queue_mutex AA_ACQUIRED_AFTER(turn_mutex);
     support::CondVar queue_cv;
     std::deque<Pending> queue AA_GUARDED_BY(queue_mutex);
     bool stopping AA_GUARDED_BY(queue_mutex) = false;
+    QueueStats queue_stats AA_GUARDED_BY(queue_mutex);
 
     // Ordered delivery of rendered batches.
     // Lock order: independent — held alone (replies drain outside every
@@ -264,8 +329,8 @@ class Service {
   /// Scoped "every shard's turn lock" acquisition: locks every shard's
   /// turn but shard 0's, ascending, and acquires the all_turns_ phantom
   /// that names the full set. Only constructed while the caller (the
-  /// shard-0 worker) holds shard 0's turn lock, so the global lock order
-  /// is strictly ascending and deadlock-free.
+  /// shard-0 worker, or tail_json()) holds shard 0's turn lock, so the
+  /// global lock order is strictly ascending and deadlock-free.
   class AA_SCOPED_CAPABILITY AllShardsTurnLock {
    public:
     explicit AllShardsTurnLock(Service& service)
@@ -299,6 +364,8 @@ class Service {
   [[nodiscard]] support::JsonValue tenant_list_json()
       AA_REQUIRES(all_turns_);
 
+  /// Merges every shard's stats blocks and walks the tenants once.
+  [[nodiscard]] Snapshot snapshot() AA_REQUIRES(all_turns_);
   [[nodiscard]] support::JsonValue stats_json() AA_REQUIRES(all_turns_);
   /// Per-tenant SLO accounting: deadline misses, lifetime error-budget
   /// consumption, and 1m/5m/30m burn rates. Served by the `slo` verb.
@@ -308,21 +375,20 @@ class Service {
   /// labeled families, uptime, and — when an obs session is installed —
   /// its drop counters. Served by the `metrics` op.
   [[nodiscard]] std::string metrics_text() AA_REQUIRES(all_turns_);
+  /// tail_json() for callers already holding every turn lock: the top K
+  /// of the shards' slowest, and the last K errored by finish time.
+  [[nodiscard]] support::JsonValue tail_json_locked()
+      AA_REQUIRES(all_turns_);
   [[nodiscard]] support::JsonValue solve_payload(
       const ServiceSolveResult& solved, double solve_ms) const;
-  void record_latency(const Pending& pending, Clock::time_point now)
-      AA_EXCLUDES(stats_mutex_);
-  /// Post-reply accounting for one finished request: per-tenant SLO
-  /// counters and windows (under the shard's turn lock, like every other
-  /// Tenant field), tail capture, and the slow-request / error structured
-  /// log events. `reply` is the built (not yet rendered) reply tree.
+  /// The one place each per-request figure is counted, from the built
+  /// (not yet rendered) reply tree: the error, timeout and deadline miss,
+  /// the request latency, the tenant's requests, errors and SLO windows,
+  /// the tail capture, and the slow-request / error structured log events.
   void finish_request(Shard& shard, const Pending& pending,
                       const support::JsonValue& reply,
                       Clock::time_point started, Clock::time_point finished)
-      AA_REQUIRES(shard.turn_mutex) AA_EXCLUDES(stats_mutex_);
-  /// Error budget (1 - slo_objective), floored so burn rates stay finite.
-  [[nodiscard]] double slo_budget() const noexcept;
-  [[nodiscard]] std::size_t total_queue_depth();
+      AA_REQUIRES(shard.turn_mutex);
   [[nodiscard]] double pool_units() const noexcept;
 
   ServiceConfig config_;
@@ -332,46 +398,17 @@ class Service {
   /// express over a dynamic shard vector. Really acquired/released by
   /// AllShardsTurnLock (and briefly by the single-threaded constructor).
   // Lock order: stands for the ascending turn-lock sweep — after shard
-  // 0's turn_mutex, before stats_mutex_.
+  // 0's turn_mutex.
   support::PhantomMutex all_turns_;
   /// Cross-tenant division policy; its credit books are only touched
   /// under all turn locks (tenant churn), never on the request fast path.
   std::unique_ptr<FairnessPolicy> policy_ AA_PT_GUARDED_BY(all_turns_);
 
-  // Service-side statistics (stats_mutex_), surfaced by the `stats` and
-  // `metrics` ops. Distributions are log2-bucketed histograms: O(1) per
-  // sample with no window to age out, at the cost of one-bucket (2x)
-  // quantile resolution.
-  // Lock order: brief leaf, taken after any turn/queue lock (the
-  // AA_ACQUIRED_AFTER edge names the phantom because the per-shard locks
-  // live behind a dynamic vector); nothing is acquired under it.
-  mutable support::Mutex stats_mutex_ AA_ACQUIRED_AFTER(all_turns_);
-  std::int64_t requests_total_ AA_GUARDED_BY(stats_mutex_) = 0;
-  std::int64_t op_counts_[kNumOps] AA_GUARDED_BY(stats_mutex_) = {};
-  std::int64_t errors_total_ AA_GUARDED_BY(stats_mutex_) = 0;
-  std::int64_t timeouts_ AA_GUARDED_BY(stats_mutex_) = 0;
-  std::int64_t batches_ AA_GUARDED_BY(stats_mutex_) = 0;
-  std::int64_t solves_coalesced_ AA_GUARDED_BY(stats_mutex_) = 0;
-  /// Indexed by SolvePath.
-  std::int64_t solves_by_path_[3] AA_GUARDED_BY(stats_mutex_) = {};
-  std::int64_t migrations_total_ AA_GUARDED_BY(stats_mutex_) = 0;
-  std::int64_t certificates_pass_ AA_GUARDED_BY(stats_mutex_) = 0;
-  std::int64_t certificates_fail_ AA_GUARDED_BY(stats_mutex_) = 0;
-  std::int64_t tenant_creates_ AA_GUARDED_BY(stats_mutex_) = 0;
-  std::int64_t tenant_updates_ AA_GUARDED_BY(stats_mutex_) = 0;
-  std::int64_t tenant_deletes_ AA_GUARDED_BY(stats_mutex_) = 0;
-  std::int64_t pool_redivides_ AA_GUARDED_BY(stats_mutex_) = 0;
-  std::size_t queue_peak_ AA_GUARDED_BY(stats_mutex_) = 0;
-  std::int64_t deadline_misses_ AA_GUARDED_BY(stats_mutex_) = 0;
-  /// Tail-based capture (docs/SERVICE.md `trace` verb): the K slowest
-  /// requests (sorted slowest-first) and the K most recent errored ones.
-  static constexpr std::size_t kTailCapacity = 32;
-  std::vector<CapturedRequest> slowest_ AA_GUARDED_BY(stats_mutex_);
-  std::deque<CapturedRequest> errored_ AA_GUARDED_BY(stats_mutex_);
-  obs::Histogram batch_size_ AA_GUARDED_BY(stats_mutex_);
-  obs::Histogram queue_depth_ AA_GUARDED_BY(stats_mutex_);
-  obs::Histogram request_latency_ms_ AA_GUARDED_BY(stats_mutex_);
-  obs::Histogram solve_latency_ms_ AA_GUARDED_BY(stats_mutex_);
+  // Tenant admin counters; every writer already holds all_turns_.
+  std::int64_t tenant_creates_ AA_GUARDED_BY(all_turns_) = 0;
+  std::int64_t tenant_updates_ AA_GUARDED_BY(all_turns_) = 0;
+  std::int64_t tenant_deletes_ AA_GUARDED_BY(all_turns_) = 0;
+  std::int64_t pool_redivides_ AA_GUARDED_BY(all_turns_) = 0;
   const Clock::time_point started_ = Clock::now();
 
   std::atomic<bool> shutdown_requested_{false};

@@ -129,19 +129,19 @@ struct Tenant {
   // Per-tenant stats. Like every Tenant member, guarded by the owning
   // shard's turn lock: Shard::tenants is AA_GUARDED_BY(turn_mutex) in
   // service.hpp, and the analysis stops at the map boundary, so the
-  // fields themselves carry no annotations.
-  std::int64_t requests = 0;
+  // fields themselves carry no annotations. Every reply to a request
+  // addressed to the tenant counts once, when it is built: slo_total
+  // (its requests), errors, and the SLO accounting (docs/OBSERVABILITY.md
+  // "Request tracing, structured logs & SLOs") — a deadline miss is a
+  // `timeout` error or a reply slower than the configured slo_ms, and
+  // good/total feed the lifetime error-budget ratio and the multi-window
+  // burn rates.
+  std::int64_t slo_total = 0;
   std::int64_t errors = 0;
-  std::int64_t solves_by_path[3] = {};  ///< Indexed by SolvePath.
-
-  // SLO accounting (docs/OBSERVABILITY.md "Request tracing, structured
-  // logs & SLOs"): a finished request is a deadline miss when it errored
-  // with `timeout` or exceeded the configured slo_ms; good/total feed the
-  // lifetime error-budget ratio and the multi-window burn rates.
   std::int64_t deadline_misses = 0;
   std::int64_t slo_good = 0;
-  std::int64_t slo_total = 0;
   SloWindows slo_windows;
+  std::int64_t solves_by_path[3] = {};  ///< Indexed by SolvePath.
 };
 
 /// The demand curve a tenant presents to the fairness layer: the total

@@ -293,6 +293,59 @@ TEST(SvcTrace, SlowRequestIsFollowableByRidAcrossAllSurfaces) {
   EXPECT_TRUE(in_perfetto);
 }
 
+// The `trace` verb merges the per-shard tails: errors are the last 32 by
+// finish time across both shards, slowest the top 32 of both.
+TEST(SvcTrace, TailMergesAcrossShards) {
+  ServiceConfig config;
+  config.shards = 2;
+  config.workers = 2;
+  Service service(config);
+  service.start();
+  // "east" hashes to shard 0 and "alpha" to shard 1 of 2.
+  ASSERT_EQ(shard_of("east", 2), 0u);
+  ASSERT_EQ(shard_of("alpha", 2), 1u);
+  for (const char* tenant : {"east", "alpha"}) {
+    std::string create = R"({"op": "tenant_create", "tenant": ")";
+    create += tenant;
+    create += R"("})";
+    ASSERT_TRUE(ask(service, create).at("ok").as_bool());
+  }
+  std::vector<std::int64_t> sent;
+  std::set<std::int64_t> on_shard[2];
+  for (int i = 0; i < 40; ++i) {
+    const char* tenant = i % 2 == 0 ? "east" : "alpha";
+    std::string line = R"({"op": "remove_thread", "id": 999, "tenant": ")";
+    line += tenant;
+    line += R"("})";
+    const JsonValue reply = ask(service, line);
+    ASSERT_EQ(reply.at("code").as_string(), "not_found");
+    sent.push_back(reply.at("rid").as_int());
+    on_shard[i % 2].insert(sent.back());
+  }
+
+  const JsonValue tail = ask(service, R"({"op": "trace"})");
+  std::vector<std::int64_t> errors;
+  for (const JsonValue& entry : tail.at("errors").as_array()) {
+    errors.push_back(entry.at("rid").as_int());
+  }
+  EXPECT_EQ(errors, std::vector<std::int64_t>(sent.end() - 32, sent.end()));
+
+  const auto& slowest = tail.at("slowest").as_array();
+  EXPECT_LE(slowest.size(), 32u);
+  bool seen[2] = {false, false};
+  for (std::size_t i = 0; i < slowest.size(); ++i) {
+    const std::int64_t rid = slowest[i].at("rid").as_int();
+    for (int s = 0; s < 2; ++s) seen[s] = seen[s] || on_shard[s].count(rid);
+    if (i > 0) {
+      EXPECT_LE(slowest[i].at("total_ms").as_number(),
+                slowest[i - 1].at("total_ms").as_number());
+    }
+  }
+  EXPECT_TRUE(seen[0]);
+  EXPECT_TRUE(seen[1]);
+  service.stop();
+}
+
 // Multi-tenant soak at the default log level and rate limits: routine
 // traffic must not lose a single log line (obs/log_dropped == 0) — the
 // limiter exists for pathological floods, not steady state.

@@ -195,8 +195,9 @@ int main(int argc, char** argv) {
       svc::SocketServer server(service, socket_path, max_line_bytes);
       server.run();
     }
-    // Tail capture must be read before stop() (reading needs no turn lock,
-    // but grab it while workers are still orderly).
+    // Read the tail capture before stop(): tail_json() takes shard 0's turn
+    // lock and then every other shard's, ascending, the same order the
+    // shard-0 worker uses, so it cannot deadlock against a running worker.
     const support::JsonValue tail = service.tail_json();
     service.stop();
     obs::log_event(obs::LogLevel::kInfo, obs::metric::kLogServeStop);
