@@ -63,6 +63,8 @@ inline constexpr std::string_view kSuperOptimalThreads =
 inline constexpr std::string_view kSvcBatches = "svc/batches";
 inline constexpr std::string_view kSvcDeadlineMisses = "svc/deadline_misses";
 inline constexpr std::string_view kSvcErrors = "svc/errors";
+inline constexpr std::string_view kSvcFreshCandidates =
+    "svc/fresh_candidates";
 inline constexpr std::string_view kSvcInternalErrors = "svc/internal_errors";
 inline constexpr std::string_view kSvcMigrations = "svc/migrations";
 inline constexpr std::string_view kSvcReplyFailures = "svc/reply_failures";
@@ -109,6 +111,7 @@ inline constexpr std::string_view kAllCounters[] = {
     kSvcBatches,
     kSvcDeadlineMisses,
     kSvcErrors,
+    kSvcFreshCandidates,
     kSvcInternalErrors,
     kSvcMigrations,
     kSvcReplyFailures,
@@ -143,7 +146,12 @@ inline constexpr std::string_view kPhaseLinearize = "linearize";
 inline constexpr std::string_view kPhaseRefineReoptimize = "refine/reoptimize";
 inline constexpr std::string_view kPhaseSuperOptimal = "super_optimal";
 inline constexpr std::string_view kPhaseSvcBatch = "svc/batch";
+inline constexpr std::string_view kPhaseSvcRecordCertificate =
+    "svc/record_certificate";
+inline constexpr std::string_view kPhaseSvcRemember = "svc/remember";
 inline constexpr std::string_view kPhaseSvcSolve = "svc/solve";
+inline constexpr std::string_view kPhaseSvcWarmCandidate =
+    "svc/warm_candidate";
 
 inline constexpr std::string_view kAllTimers[] = {
     kPhaseAlg1Assign,
@@ -158,7 +166,10 @@ inline constexpr std::string_view kAllTimers[] = {
     kPhaseRefineReoptimize,
     kPhaseSuperOptimal,
     kPhaseSvcBatch,
+    kPhaseSvcRecordCertificate,
+    kPhaseSvcRemember,
     kPhaseSvcSolve,
+    kPhaseSvcWarmCandidate,
 };
 
 // aa-lint-section: samples

@@ -1,9 +1,9 @@
 #include "support/json.hpp"
 
 #include <cctype>
+#include <charconv>
 #include <cmath>
-#include <cstdio>
-#include <sstream>
+#include <system_error>
 
 namespace aa::support {
 
@@ -52,6 +52,11 @@ const JsonValue::Object& JsonValue::as_object() const {
   return std::get<Object>(value_);
 }
 
+JsonValue::Object& JsonValue::as_object() {
+  if (!is_object()) type_error("object");
+  return std::get<Object>(value_);
+}
+
 const JsonValue* JsonValue::find(std::string_view key) const {
   if (!is_object()) type_error("object");
   for (const auto& [name, value] : std::get<Object>(value_)) {
@@ -89,7 +94,14 @@ namespace {
 
 void dump_string(const std::string& s, std::string& out) {
   out += '"';
-  for (const char ch : s) {
+  std::size_t plain = 0;  // Start of the run of bytes that need no escape.
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    const char ch = s[i];
+    if (static_cast<unsigned char>(ch) >= 0x20 && ch != '"' && ch != '\\') {
+      continue;  // UTF-8 bytes pass through.
+    }
+    out.append(s, plain, i - plain);
+    plain = i + 1;
     switch (ch) {
       case '"': out += "\\\""; break;
       case '\\': out += "\\\\"; break;
@@ -98,34 +110,34 @@ void dump_string(const std::string& s, std::string& out) {
       case '\t': out += "\\t"; break;
       case '\b': out += "\\b"; break;
       case '\f': out += "\\f"; break;
-      default:
-        if (static_cast<unsigned char>(ch) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(ch)));
-          out += buf;
-        } else {
-          out += ch;  // UTF-8 bytes pass through.
-        }
+      default: {
+        constexpr char kHex[] = "0123456789abcdef";
+        out += "\\u00";
+        out += kHex[(ch >> 4) & 0xF];
+        out += kHex[ch & 0xF];
+      }
     }
   }
+  out.append(s, plain, std::string::npos);
   out += '"';
 }
 
+/// Integers within 2^53 print as integers; every other finite value prints
+/// as the shortest digits that parse back to the same double. std::to_chars
+/// ignores the locale, so a comma-decimal LC_NUMERIC cannot leak in.
 void dump_number(double d, std::string& out) {
   if (!std::isfinite(d)) {
     throw std::runtime_error("json: cannot serialize non-finite number");
   }
-  if (d == std::floor(d) && std::abs(d) < 9.007199254740992e15) {
-    char buf[32];
-    std::snprintf(buf, sizeof buf, "%lld",
-                  static_cast<long long>(d));
-    out += buf;
-  } else {
-    char buf[32];
-    std::snprintf(buf, sizeof buf, "%.17g", d);
-    out += buf;
-  }
+  char buf[32];
+  const bool integral = d == std::floor(d) &&
+                        std::abs(d) < 9.007199254740992e15 &&
+                        !(d == 0.0 && std::signbit(d));
+  const std::to_chars_result result =
+      integral ? std::to_chars(buf, buf + sizeof buf,
+                               static_cast<long long>(d))
+               : std::to_chars(buf, buf + sizeof buf, d);
+  out.append(buf, result.ptr);
 }
 
 }  // namespace
@@ -413,12 +425,15 @@ class Parser {
         ++pos_;
       }
     }
-    const std::string token(text_.substr(start, pos_ - start));
-    try {
-      return JsonValue(std::stod(token));
-    } catch (const std::exception&) {
+    // from_chars reads the validated bytes in place, whatever the locale.
+    // Subnormals parse; magnitudes past the double range (1e400, 1e-400)
+    // are errors.
+    double value = 0.0;
+    if (std::from_chars(text_.data() + start, text_.data() + pos_, value).ec !=
+        std::errc{}) {
       fail("number out of range");
     }
+    return JsonValue(value);
   }
 
   std::string_view text_;

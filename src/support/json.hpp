@@ -79,6 +79,7 @@ class JsonValue {
   [[nodiscard]] const std::string& as_string() const;
   [[nodiscard]] const Array& as_array() const;
   [[nodiscard]] const Object& as_object() const;
+  [[nodiscard]] Object& as_object();
 
   /// Object lookup; throws if not an object or the key is missing.
   [[nodiscard]] const JsonValue& at(std::string_view key) const;

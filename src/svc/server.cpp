@@ -4,8 +4,11 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cerrno>
 #include <istream>
+#include <iterator>
 #include <ostream>
 #include <utility>
 
@@ -28,6 +31,8 @@ std::string too_large_message(std::size_t max_line_bytes) {
 /// shared_ptr drops.
 struct SocketServer::Connection {
   FdHandle fd;
+  /// Set by the reader thread as it exits; the accept loop then joins it.
+  std::atomic<bool> finished{false};
   // Lock order: leaf — serializes reply writes; nothing is acquired
   // while held.
   support::Mutex write_mutex;
@@ -71,6 +76,7 @@ void SocketServer::run() {
       if (errno == EINTR) continue;
       break;
     }
+    reap_finished();
     if (ready == 0) continue;
     FdHandle client(::accept(listener_.get(), nullptr, nullptr));
     if (!client.valid()) {
@@ -80,8 +86,8 @@ void SocketServer::run() {
     auto connection = std::make_shared<Connection>();
     connection->fd = std::move(client);
     const support::MutexLock lock(connections_mutex_);
-    threads_.emplace_back(&SocketServer::connection_loop, this, connection);
-    connections_.push_back(std::move(connection));
+    std::thread thread(&SocketServer::connection_loop, this, connection);
+    readers_.push_back(Reader{std::move(connection), std::move(thread)});
   }
   shutdown_connections();
 }
@@ -104,18 +110,35 @@ void SocketServer::connection_loop(std::shared_ptr<Connection> connection) {
     });
   }
   connection->close();
+  connection->finished.store(true, std::memory_order_release);
+}
+
+void SocketServer::reap_finished() {
+  std::vector<Reader> finished;
+  {
+    const support::MutexLock lock(connections_mutex_);
+    const auto done = std::partition(
+        readers_.begin(), readers_.end(), [](const Reader& reader) {
+          return !reader.connection->finished.load(std::memory_order_acquire);
+        });
+    finished.assign(std::make_move_iterator(done),
+                    std::make_move_iterator(readers_.end()));
+    readers_.erase(done, readers_.end());
+  }
+  // The threads have left their loops, so the joins return at once. The
+  // fd closes when the last reply still in flight drops its Connection.
+  for (Reader& reader : finished) reader.thread.join();
 }
 
 void SocketServer::shutdown_connections() {
-  std::vector<std::thread> threads;
+  std::vector<Reader> readers;
   {
     const support::MutexLock lock(connections_mutex_);
-    for (const auto& connection : connections_) connection->close();
-    threads.swap(threads_);
-    connections_.clear();
+    for (const Reader& reader : readers_) reader.connection->close();
+    readers.swap(readers_);
   }
-  for (std::thread& thread : threads) {
-    if (thread.joinable()) thread.join();
+  for (Reader& reader : readers) {
+    if (reader.thread.joinable()) reader.thread.join();
   }
 }
 

@@ -19,7 +19,8 @@
 namespace aa::svc {
 
 /// Accept loop over a Unix domain stream socket. One reader thread per
-/// connection; replies are written back on the worker threads under a
+/// connection, joined and dropped by the accept loop once its client has
+/// gone; replies are written back on the worker threads under a
 /// per-connection mutex. A request line longer than `max_line_bytes` gets
 /// a structured `too_large` error and the connection is closed (the stream
 /// cannot be resynchronized); a mid-line EOF is a clean disconnect.
@@ -40,7 +41,15 @@ class SocketServer {
  private:
   struct Connection;
 
+  /// A connection and the thread reading it.
+  struct Reader {
+    std::shared_ptr<Connection> connection;
+    std::thread thread;
+  };
+
   void connection_loop(std::shared_ptr<Connection> connection);
+  /// Joins and drops the readers whose client has disconnected.
+  void reap_finished() AA_EXCLUDES(connections_mutex_);
   void shutdown_connections() AA_EXCLUDES(connections_mutex_);
 
   Service& service_;
@@ -48,12 +57,10 @@ class SocketServer {
   std::size_t max_line_bytes_;
   FdHandle listener_;
 
-  // Lock order: leaf. Guards the connection/thread registries only;
-  // each Connection then has its own leaf write_mutex.
+  // Lock order: leaf. Guards the reader registry only; each Connection
+  // then has its own leaf write_mutex.
   support::Mutex connections_mutex_;
-  std::vector<std::shared_ptr<Connection>> connections_
-      AA_GUARDED_BY(connections_mutex_);
-  std::vector<std::thread> threads_ AA_GUARDED_BY(connections_mutex_);
+  std::vector<Reader> readers_ AA_GUARDED_BY(connections_mutex_);
 };
 
 /// Reads request lines from `in` until EOF (or the first line after a

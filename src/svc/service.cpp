@@ -27,10 +27,10 @@ double ms_between(std::chrono::steady_clock::time_point from,
   return std::chrono::duration<double, std::milli>(to - from).count();
 }
 
-/// Copies every member of `payload` onto `reply`.
-void merge_into(JsonValue& reply, const JsonValue& payload) {
-  for (const auto& [key, value] : payload.as_object()) {
-    reply.set(key, value);
+/// Moves every member of `payload` onto `reply`.
+void merge_into(JsonValue& reply, JsonValue&& payload) {
+  for (auto& [key, value] : payload.as_object()) {
+    reply.set(std::move(key), std::move(value));
   }
 }
 
@@ -890,7 +890,7 @@ std::vector<Service::Outgoing> Service::process_batch(
     const obs::TraceRidScope rid_scope(batch[group.slots.front()].rid);
     try {
       const Clock::time_point solve_start = Clock::now();
-      ServiceSolveResult solved =
+      const ServiceSolveResult& solved =
           tenant->solver.solve(tenant->state, group.force_full);
       const double solve_ms = ms_between(solve_start, Clock::now());
       switch (solved.path) {
@@ -912,10 +912,12 @@ std::vector<Service::Outgoing> Service::process_batch(
       ++(solved.certificate.ok() ? stats.certificates_pass
                                  : stats.certificates_fail);
       stats.solve_latency_ms.sample(solve_ms);
-      const JsonValue payload = solve_payload(solved, solve_ms);
+      JsonValue payload = solve_payload(solved, solve_ms);
       for (const std::size_t slot : group.slots) {
         JsonValue reply = make_ok_reply(Op::kSolve, batch[slot].request.tag);
-        merge_into(reply, payload);
+        // The last slot (usually the only one) takes the payload itself.
+        merge_into(reply, slot == group.slots.back() ? std::move(payload)
+                                                     : JsonValue(payload));
         if (!batch[slot].request.tenant.empty()) {
           reply.set("tenant", batch[slot].request.tenant);
         }
@@ -965,11 +967,12 @@ JsonValue Service::solve_payload(const ServiceSolveResult& solved,
   JsonValue::Array assignment;
   assignment.reserve(solved.ids.size());
   for (std::size_t i = 0; i < solved.ids.size(); ++i) {
-    JsonValue entry;
-    entry.set("id", solved.ids[i]);
-    entry.set("server", solved.result.assignment.server[i]);
-    entry.set("alloc", solved.result.assignment.alloc[i]);
-    assignment.push_back(std::move(entry));
+    JsonValue::Object entry;
+    entry.reserve(3);
+    entry.emplace_back("id", solved.ids[i]);
+    entry.emplace_back("server", solved.result.assignment.server[i]);
+    entry.emplace_back("alloc", solved.result.assignment.alloc[i]);
+    assignment.emplace_back(std::move(entry));
   }
   payload.set("assignment", JsonValue(std::move(assignment)));
   return payload;

@@ -6,7 +6,7 @@
 // placement from scratch on every call; in a long-running service that
 // migrates threads needlessly whenever utilities drift a little (paper
 // Section VIII; cf. OnlinePolicy::kSticky in aa/online.hpp). The
-// WarmStartSolver keeps the previous solution keyed by thread id and picks
+// WarmStartSolver keeps the previous solution, ids included, and picks
 // one of three paths per solve:
 //
 //   kCached — the state version is unchanged since the last solve: the
@@ -24,6 +24,13 @@
 //             fresh candidate beats the warm one by more than the kSticky
 //             hysteresis (aa::core::sticky_should_migrate).
 //
+// A warm attempt builds the warm candidate first and the fresh one only
+// when it could win. Any feasible placement, the fresh one included, is at
+// most F_hat (Lemma V.2: F* <= F_hat), so once the certified warm utility
+// clears the hysteresis against F_hat (with a 1e-9 relative slack for
+// floating-point sums) the kSticky rule would keep the warm candidate
+// whatever the fresh one scored. Skipping it therefore changes no decision.
+//
 // Every path's result carries a full aa::obs certificate computed against
 // the *current* instance — the super-optimal bound is always recomputed
 // after any delta, so the 0.828 guarantee in replies is never claimed from
@@ -32,7 +39,7 @@
 // warm-start utility is never below alpha * F_hat.
 
 #include <cstddef>
-#include <map>
+#include <cstdint>
 #include <vector>
 
 #include "aa/problem.hpp"
@@ -79,9 +86,10 @@ class WarmStartSolver {
   explicit WarmStartSolver(WarmStartConfig config = {});
 
   /// Solves the current state. `force_full` skips the cached and warm
-  /// paths (protocol mode=full).
-  [[nodiscard]] ServiceSolveResult solve(const InstanceState& state,
-                                         bool force_full = false);
+  /// paths (protocol mode=full). The result stays valid until the next
+  /// solve() or reset().
+  [[nodiscard]] const ServiceSolveResult& solve(const InstanceState& state,
+                                                bool force_full = false);
 
   /// Drops all warm state; the next solve takes the full path.
   void reset();
@@ -89,19 +97,17 @@ class WarmStartSolver {
  private:
   [[nodiscard]] bool deltas_exceed_threshold(std::uint64_t deltas,
                                              std::size_t num_threads) const;
-  [[nodiscard]] std::size_t count_id_migrations(
-      const std::vector<ThreadId>& ids,
-      const core::Assignment& assignment) const;
-  void remember(const ServiceSolveResult& solved, std::uint64_t version);
+  [[nodiscard]] std::vector<std::size_t> previous_servers(
+      const std::vector<ThreadId>& ids) const;
+  const ServiceSolveResult& remember(ServiceSolveResult&& solved,
+                                     std::uint64_t version);
 
   WarmStartConfig config_;
   bool have_previous_ = false;
   std::uint64_t solved_version_ = 0;
-  // Ordered map: iteration order must never depend on hash seeding in
-  // code that feeds placement decisions (aa_lint bans unordered
-  // containers here).
-  std::map<ThreadId, std::size_t> previous_server_;
-  ServiceSolveResult previous_;  ///< Cached for version-unchanged solves.
+  /// The last solve: the cached reply, and the placement the next warm
+  /// attempt pins. Its ids ascend (InstanceState order, ids never reused).
+  ServiceSolveResult previous_;
 };
 
 }  // namespace aa::svc

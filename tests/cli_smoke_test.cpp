@@ -5,9 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstdio>
 #include <fstream>
 #include <string>
+#include <vector>
 
 #include "support/json.hpp"
 
@@ -39,15 +42,25 @@ std::string slurp(const std::string& path) {
           std::istreambuf_iterator<char>()};
 }
 
-std::string temp_path(const std::string& name) {
-  return ::testing::TempDir() + "aa_cli_smoke_" + name;
-}
-
 constexpr const char* kGen = AA_GEN_BIN;
 constexpr const char* kSolve = AA_SOLVE_BIN;
 
 class CliSmoke : public ::testing::Test {
  protected:
+  /// A file name of this test's own, removed at TearDown: ctest runs each
+  /// case as a separate process, possibly in parallel with the others.
+  std::string temp_path(const std::string& name) {
+    created_.push_back(
+        ::testing::TempDir() + "aa_cli_smoke_" +
+        ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+        "_" + std::to_string(::getpid()) + "_" + name);
+    return created_.back();
+  }
+
+  void TearDown() override {
+    for (const std::string& path : created_) std::remove(path.c_str());
+  }
+
   void SetUp() override {
     instance_path_ = temp_path("instance.json");
     const CommandResult gen = run_command(
@@ -58,6 +71,7 @@ class CliSmoke : public ::testing::Test {
   }
 
   std::string instance_path_;
+  std::vector<std::string> created_;
 };
 
 TEST_F(CliSmoke, GenEmitsAValidInstanceDocument) {

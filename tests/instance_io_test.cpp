@@ -4,8 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstdio>
 #include <memory>
+#include <string>
 
 #include "aa/heterogeneous.hpp"
 #include "aa/refine.hpp"
@@ -169,7 +172,9 @@ TEST(HeteroIo, RejectsMalformedCapacities) {
 }
 
 TEST(FileIo, SaveAndLoadInstance) {
-  const std::string path = "/tmp/aa_io_test_instance.json";
+  const std::string path = ::testing::TempDir() +
+                           "aa_io_test_SaveAndLoadInstance_" +
+                           std::to_string(::getpid()) + ".json";
   const Instance original = analytic_instance();
   save_instance(original, path);
   const Instance loaded = load_instance(path);

@@ -4,6 +4,15 @@
 
 #include <gtest/gtest.h>
 
+#include <clocale>
+#include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <limits>
+#include <random>
+#include <string>
+#include <vector>
+
 namespace aa::support {
 namespace {
 
@@ -136,6 +145,108 @@ TEST(JsonDump, DoubleRoundTripsAtFullPrecision) {
   const double value = 0.1234567890123456789;
   const JsonValue parsed = json_parse(JsonValue(value).dump());
   EXPECT_DOUBLE_EQ(parsed.as_number(), value);
+}
+
+std::uint64_t bits_of(double value) {
+  std::uint64_t bits = 0;
+  std::memcpy(&bits, &value, sizeof bits);
+  return bits;
+}
+
+/// parse(dump(x)) must give back x bit for bit.
+void expect_round_trips(double value) {
+  const std::string text = JsonValue(value).dump();
+  EXPECT_EQ(bits_of(json_parse(text).as_number()), bits_of(value))
+      << text;
+}
+
+TEST(JsonDump, NumbersRoundTripBitwise) {
+  std::vector<double> values = {
+      0.0,
+      -0.0,
+      std::numeric_limits<double>::denorm_min(),
+      -std::numeric_limits<double>::denorm_min(),
+      std::numeric_limits<double>::min(),
+      std::nextafter(std::numeric_limits<double>::min(), 0.0),
+      std::numeric_limits<double>::max(),
+      std::numeric_limits<double>::lowest(),
+      std::numeric_limits<double>::epsilon(),
+      0.1,
+      1.0 / 3.0,
+  };
+  // Integers on both sides of 2^53, where the integer form hands over to
+  // the shortest-digits form.
+  for (std::int64_t delta = -3; delta <= 3; ++delta) {
+    const double near = 9007199254740992.0 + static_cast<double>(delta);
+    values.push_back(near);
+    values.push_back(-near);
+  }
+  std::mt19937_64 bits(20261017);
+  while (values.size() < 20000) {
+    const std::uint64_t pattern = bits();
+    double value = 0.0;
+    std::memcpy(&value, &pattern, sizeof value);
+    if (std::isfinite(value)) values.push_back(value);
+    // Subnormals: the exponent field cleared.
+    const std::uint64_t subnormal = pattern & 0x800FFFFFFFFFFFFFull;
+    std::memcpy(&value, &subnormal, sizeof value);
+    values.push_back(value);
+  }
+  for (const double value : values) expect_round_trips(value);
+}
+
+TEST(JsonDump, EscapesOnlyWhatJsonRequires) {
+  EXPECT_EQ(JsonValue(std::string("plain \xc3\xa9 text")).dump(),
+            "\"plain \xc3\xa9 text\"");
+  EXPECT_EQ(JsonValue(std::string("a\x01\"b\\c\nd\x1f")).dump(),
+            R"("a\u0001\"b\\c\nd\u001f")");
+}
+
+TEST(JsonDump, NegativeZeroKeepsItsSign) {
+  EXPECT_EQ(JsonValue(-0.0).dump(), "-0");
+  EXPECT_EQ(JsonValue(0.0).dump(), "0");
+  EXPECT_TRUE(std::signbit(json_parse("-0").as_number()));
+}
+
+TEST(JsonDump, NonIntegersUseTheShortestDigits) {
+  EXPECT_EQ(JsonValue(0.1).dump(), "0.1");
+  EXPECT_EQ(JsonValue(2.5e-7).dump(), "2.5e-07");
+  EXPECT_EQ(JsonValue(1e20).dump(), "1e+20");
+}
+
+TEST(JsonParse, AcceptsSubnormalLiterals) {
+  EXPECT_EQ(json_parse("4.9406564584124654e-324").as_number(),
+            std::numeric_limits<double>::denorm_min());
+  EXPECT_EQ(json_parse("-2.2250738585072009e-308").as_number(),
+            -std::nextafter(std::numeric_limits<double>::min(), 0.0));
+  EXPECT_THROW((void)json_parse("1e-400"), JsonError);
+  EXPECT_THROW((void)json_parse("1e400"), JsonError);
+}
+
+// Numbers are read and written the same way whatever LC_NUMERIC says.
+TEST(JsonLocale, CommaDecimalLocaleLeavesNumbersAlone) {
+  constexpr const char* kCommaLocales[] = {"de_DE.UTF-8", "de_DE.utf8",
+                                           "fr_FR.UTF-8", "fr_FR.utf8",
+                                           "nl_NL.UTF-8", "ru_RU.UTF-8"};
+  const std::string saved = std::setlocale(LC_NUMERIC, nullptr);
+  bool comma = false;
+  for (const char* name : kCommaLocales) {
+    if (std::setlocale(LC_NUMERIC, name) != nullptr &&
+        std::string(std::localeconv()->decimal_point) == ",") {
+      comma = true;
+      break;
+    }
+  }
+  if (!comma) {
+    std::setlocale(LC_NUMERIC, saved.c_str());
+    GTEST_SKIP() << "no comma-decimal locale is installed";
+  }
+  const std::string dumped = JsonValue(1.25).dump();
+  const JsonValue parsed = json_parse("[0.5, 2.5e-3]");
+  std::setlocale(LC_NUMERIC, saved.c_str());
+  EXPECT_EQ(dumped, "1.25");
+  EXPECT_EQ(parsed.as_array()[0].as_number(), 0.5);
+  EXPECT_EQ(parsed.as_array()[1].as_number(), 2.5e-3);
 }
 
 }  // namespace

@@ -7,10 +7,15 @@
 
 #include <gtest/gtest.h>
 
+#include <signal.h>
+#include <sys/resource.h>
 #include <sys/socket.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <optional>
 #include <set>
@@ -463,6 +468,83 @@ TEST(ServeBinary, LoadgenSoakEndsWithZeroFailures) {
       << run.output;
   EXPECT_NE(run.output.find("latency ms: p50 "), std::string::npos)
       << run.output;
+}
+
+/// Descriptors the process `pid` has open.
+std::size_t open_fds(pid_t pid) {
+  std::size_t count = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(
+           "/proc/" + std::to_string(pid) + "/fd")) {
+    (void)entry;
+    ++count;
+  }
+  return count;
+}
+
+/// Kills and reaps the child unless the test already waited for it.
+struct ChildGuard {
+  pid_t pid = -1;
+  ~ChildGuard() {
+    if (pid <= 0) return;
+    ::kill(pid, SIGKILL);
+    (void)::waitpid(pid, nullptr, 0);
+  }
+};
+
+// A closed session gives back its descriptor and reader thread: 2000
+// sequential connect/request/close cycles leave the server's descriptor
+// count where it started, under a descriptor limit far below 2000.
+TEST(ServeBinary, SequentialSessionsKeepTheFdCountFlat) {
+  const std::string sock = socket_path("reap");
+  ChildGuard child;
+  child.pid = ::fork();
+  ASSERT_GE(child.pid, 0);
+  if (child.pid == 0) {
+    const rlimit limit{64, 64};
+    (void)::setrlimit(RLIMIT_NOFILE, &limit);
+    ::execl(kServe, kServe, "--socket", sock.c_str(),
+            static_cast<char*>(nullptr));
+    ::_exit(127);
+  }
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!std::filesystem::exists(sock) &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  ASSERT_TRUE(std::filesystem::exists(sock));
+  const std::size_t before = open_fds(child.pid);
+
+  constexpr int kSessions = 2000;
+  int completed = 0;
+  try {
+    for (; completed < kSessions; ++completed) {
+      FdHandle fd = connect_unix(sock, 2000);
+      LineChannel channel(fd.get(), kDefaultMaxLineBytes);
+      ASSERT_TRUE(channel.write_line(R"({"op": "solve"})"));
+      const std::optional<std::string> reply = channel.read_line();
+      ASSERT_TRUE(reply.has_value()) << "session " << completed;
+    }
+  } catch (const std::exception& error) {
+    FAIL() << "session " << completed << ": " << error.what();
+  }
+
+  // The accept loop reaps finished readers at least every 100 ms.
+  std::size_t after = open_fds(child.pid);
+  for (int wait = 0; wait < 100 && after > before + 2; ++wait) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    after = open_fds(child.pid);
+  }
+  EXPECT_LE(after, before + 2) << "fds before " << before;
+
+  FdHandle fd = connect_unix(sock, 2000);
+  LineChannel channel(fd.get(), kDefaultMaxLineBytes);
+  ASSERT_TRUE(channel.write_line(R"({"op": "shutdown"})"));
+  (void)channel.read_line();
+  int status = -1;
+  ASSERT_EQ(::waitpid(child.pid, &status, 0), child.pid);
+  child.pid = -1;
+  EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0) << status;
 }
 
 }  // namespace
