@@ -2,9 +2,9 @@
 // both sides of the enable switch. Expected shape: the no-session paths
 // (one relaxed atomic load + branch — the contract tests/obs_test.cpp
 // pins) in the low single-digit nanoseconds; with a session installed,
-// counters and histogram samples cost a mutex acquire plus a map lookup,
-// ScopedPhase adds two clock reads and two ring pushes, and the trace-ring
-// push stays flat as threads multiply (per-thread rings, no shared tail).
+// a counter costs a mutex acquire plus a map lookup, ScopedPhase adds two
+// clock reads and two ring pushes, and the trace-ring push stays flat as
+// threads multiply (per-thread rings, no shared tail).
 
 #include <benchmark/benchmark.h>
 
@@ -60,24 +60,6 @@ void BM_ScopedPhaseWithSession(benchmark::State& state) {
 }
 BENCHMARK(BM_ScopedPhaseWithSession);
 
-void BM_SampleNoSession(benchmark::State& state) {
-  for (auto _ : state) {
-    aa::obs::sample("bench/latency", 0.125);
-  }
-}
-BENCHMARK(BM_SampleNoSession);
-
-void BM_SampleWithSession(benchmark::State& state) {
-  aa::obs::Session session;
-  double value = 0.0;
-  for (auto _ : state) {
-    value += 0.001;  // Walk the buckets instead of hammering one.
-    aa::obs::sample("bench/latency", value);
-  }
-  benchmark::DoNotOptimize(session.metrics());
-}
-BENCHMARK(BM_SampleWithSession);
-
 void BM_InstantWithSession(benchmark::State& state) {
   aa::obs::Session session;
   for (auto _ : state) {
@@ -86,8 +68,8 @@ void BM_InstantWithSession(benchmark::State& state) {
 }
 BENCHMARK(BM_InstantWithSession);
 
-// The raw histogram update, no session indirection: the floor for any
-// sampled metric.
+// The raw histogram update behind the service's per-shard latency,
+// batch-size and queue-depth distributions.
 void BM_HistogramSample(benchmark::State& state) {
   aa::obs::Histogram histogram;
   double value = 0.0;

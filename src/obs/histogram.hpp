@@ -17,9 +17,8 @@
 // upper(b) = kMinUpper * 2^b; values <= kMinUpper land in bucket 0 and
 // values above the top boundary saturate into the last bucket (counted,
 // never dropped). Negative and non-finite samples are NOT recorded:
-// sample() returns false and the caller counts them (the session bumps
-// obs/histogram_dropped) so bad data is visible instead of silently
-// poisoning the distribution.
+// sample() returns false so the caller sees bad data instead of it
+// silently poisoning the distribution.
 
 #include <array>
 #include <cstddef>

@@ -19,14 +19,6 @@ void Metrics::time(std::string_view name, double wall_ms, double cpu_ms) {
   it->second.add(wall_ms, cpu_ms);
 }
 
-bool Metrics::sample(std::string_view name, double value) {
-  auto it = histograms_.find(name);
-  if (it == histograms_.end()) {
-    it = histograms_.emplace(std::string(name), Histogram{}).first;
-  }
-  return it->second.sample(value);
-}
-
 void Metrics::merge(const Metrics& other) {
   for (const auto& [name, value] : other.counters_) {
     count(name, value);
@@ -39,14 +31,6 @@ void Metrics::merge(const Metrics& other) {
       it->second.merge(stat);
     }
   }
-  for (const auto& [name, histogram] : other.histograms_) {
-    auto it = histograms_.find(name);
-    if (it == histograms_.end()) {
-      histograms_.emplace(name, histogram);
-    } else {
-      it->second.merge(histogram);
-    }
-  }
 }
 
 std::int64_t Metrics::counter(std::string_view name) const {
@@ -57,11 +41,6 @@ std::int64_t Metrics::counter(std::string_view name) const {
 const TimerStat* Metrics::timer(std::string_view name) const {
   const auto it = timers_.find(name);
   return it == timers_.end() ? nullptr : &it->second;
-}
-
-const Histogram* Metrics::histogram(std::string_view name) const {
-  const auto it = histograms_.find(name);
-  return it == histograms_.end() ? nullptr : &it->second;
 }
 
 support::JsonValue Metrics::counters_json() const {
@@ -92,22 +71,10 @@ support::JsonValue Metrics::timers_json() const {
   return support::JsonValue(std::move(object));
 }
 
-support::JsonValue Metrics::histograms_json() const {
-  support::JsonValue::Object object;
-  object.reserve(histograms_.size());
-  for (const auto& [name, histogram] : histograms_) {
-    object.emplace_back(name, histogram.to_json());
-  }
-  return support::JsonValue(std::move(object));
-}
-
 support::JsonValue Metrics::to_json(bool include_timings) const {
   support::JsonValue out{support::JsonValue::Object{}};
   out.set("counters", counters_json());
-  if (include_timings) {
-    out.set("timers", timers_json());
-    out.set("histograms", histograms_json());
-  }
+  if (include_timings) out.set("timers", timers_json());
   return out;
 }
 

@@ -2,17 +2,17 @@
 
 // Mergeable metrics value type for the observability layer (aa::obs).
 //
-// A Metrics object is a plain bag of named integer counters, named timer
-// statistics (wall + thread-CPU durations accumulated in RunningStats, so
-// merging across ThreadPool workers follows the same Chan parallel-update
-// rule as the experiment harness), and named log2-bucketed histograms
-// (histogram.hpp) for distribution-shaped samples — latencies, queue
-// depths, batch sizes. Metrics itself is NOT thread-safe and carries no
-// support/sync.hpp annotations: the intended pattern is one Metrics per
-// worker, merged at the join point — exactly like RunningStats, and
-// histograms merge bucket-wise with zero loss — or a Session
-// (session.hpp), which wraps one Metrics behind an annotated
-// support::Mutex for ad-hoc cross-thread recording.
+// A Metrics object is a plain bag of named integer counters and named
+// timer statistics (wall + thread-CPU durations accumulated in
+// RunningStats, so merging across ThreadPool workers follows the same
+// Chan parallel-update rule as the experiment harness). Metrics itself is
+// NOT thread-safe and carries no support/sync.hpp annotations: the
+// intended pattern is one Metrics per worker, merged at the join point —
+// exactly like RunningStats — or a Session (session.hpp), which wraps one
+// Metrics behind an annotated support::Mutex for ad-hoc cross-thread
+// recording. Distribution-shaped figures (latencies, queue depths, batch
+// sizes) live in obs::Histogram (histogram.hpp) blocks owned by whoever
+// records them, e.g. the service's per-shard stats.
 
 #include <cstdint>
 #include <functional>
@@ -20,7 +20,6 @@
 #include <string>
 #include <string_view>
 
-#include "obs/histogram.hpp"
 #include "support/json.hpp"
 #include "support/stats.hpp"
 
@@ -47,7 +46,6 @@ class Metrics {
  public:
   using CounterMap = std::map<std::string, std::int64_t, std::less<>>;
   using TimerMap = std::map<std::string, TimerStat, std::less<>>;
-  using HistogramMap = std::map<std::string, Histogram, std::less<>>;
 
   /// Adds `delta` to the named counter (created at zero on first use).
   void count(std::string_view name, std::int64_t delta = 1);
@@ -55,13 +53,7 @@ class Metrics {
   /// Records one sample of the named timer.
   void time(std::string_view name, double wall_ms, double cpu_ms);
 
-  /// Records one value into the named histogram (created empty on first
-  /// use). Returns false — recording nothing — for values the histogram
-  /// rejects (negative / non-finite); the caller counts those drops.
-  bool sample(std::string_view name, double value);
-
-  /// Element-wise merge: counters add, timer stats merge Chan-style,
-  /// histograms merge bucket-wise (exact).
+  /// Element-wise merge: counters add, timer stats merge Chan-style.
   void merge(const Metrics& other);
 
   /// Current counter value; 0 when the counter was never touched.
@@ -70,18 +62,12 @@ class Metrics {
   /// Timer statistics, or nullptr when the timer was never recorded.
   [[nodiscard]] const TimerStat* timer(std::string_view name) const;
 
-  /// Histogram contents, or nullptr when the name was never sampled.
-  [[nodiscard]] const Histogram* histogram(std::string_view name) const;
-
   [[nodiscard]] const CounterMap& counters() const noexcept {
     return counters_;
   }
   [[nodiscard]] const TimerMap& timers() const noexcept { return timers_; }
-  [[nodiscard]] const HistogramMap& histograms() const noexcept {
-    return histograms_;
-  }
   [[nodiscard]] bool empty() const noexcept {
-    return counters_.empty() && timers_.empty() && histograms_.empty();
+    return counters_.empty() && timers_.empty();
   }
 
   /// {"name": value, ...} in lexicographic name order — deterministic for a
@@ -92,19 +78,13 @@ class Metrics {
   /// wall-clock dependent; never pin these in golden tests.
   [[nodiscard]] support::JsonValue timers_json() const;
 
-  /// {"name": Histogram::to_json(), ...} in lexicographic name order.
-  /// Sample values are typically wall-clock dependent; never pin.
-  [[nodiscard]] support::JsonValue histograms_json() const;
-
-  /// {"counters": ..., "timers": ..., "histograms": ...}; timers and
-  /// histograms omitted when `include_timings` is false (deterministic
-  /// export).
+  /// {"counters": ..., "timers": ...}; timers omitted when
+  /// `include_timings` is false (deterministic export).
   [[nodiscard]] support::JsonValue to_json(bool include_timings = true) const;
 
  private:
   CounterMap counters_;
   TimerMap timers_;
-  HistogramMap histograms_;
 };
 
 }  // namespace aa::obs

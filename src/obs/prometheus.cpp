@@ -8,27 +8,6 @@
 
 namespace aa::obs {
 
-namespace {
-
-bool allowed_in_name(char c) noexcept {
-  return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-         (c >= '0' && c <= '9') || c == '_' || c == ':';
-}
-
-}  // namespace
-
-std::string prometheus_name(std::string_view name) {
-  std::string out;
-  out.reserve(name.size() + 1);
-  if (!name.empty() && name.front() >= '0' && name.front() <= '9') {
-    out.push_back('_');
-  }
-  for (const char c : name) {
-    out.push_back(allowed_in_name(c) ? c : '_');
-  }
-  return out;
-}
-
 std::string prometheus_value(double value) {
   if (std::isinf(value)) return value > 0 ? "+Inf" : "-Inf";
   if (std::isnan(value)) return "NaN";

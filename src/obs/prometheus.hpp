@@ -10,9 +10,9 @@
 // `summary`-typed family, which must use a *different* family name than
 // the histogram so the exposition stays well-formed.
 //
-// Metric names here are chosen by the caller; prometheus_name() maps the
-// registry's slash-style names ("svc/queue_depth") onto the
-// [a-zA-Z_:][a-zA-Z0-9_:]* charset Prometheus requires.
+// Family names are chosen by the caller and must already be in the
+// [a-zA-Z_:][a-zA-Z0-9_:]* charset Prometheus requires; nothing here
+// rewrites them.
 
 #include <cstdint>
 #include <string>
@@ -21,10 +21,6 @@
 #include "obs/histogram.hpp"
 
 namespace aa::obs {
-
-/// Sanitizes to the Prometheus metric-name charset: every disallowed
-/// character becomes '_', and a leading digit gets a '_' prefix.
-[[nodiscard]] std::string prometheus_name(std::string_view name);
 
 /// Shortest round-trip decimal rendering ("+Inf" for infinity), used for
 /// every sample value and `le` boundary in the exposition.

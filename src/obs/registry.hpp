@@ -1,11 +1,12 @@
 #pragma once
 
 // Metric-name registry: the single source of truth for every counter,
-// phase-timer, and sample name the observability layer records.
+// phase-timer, trace-event and log-event name the observability layer
+// records.
 //
 // Instrumentation sites must use these constants — `tools/aa_lint` (see
 // docs/STATIC_ANALYSIS.md) rejects string literals passed to obs::count /
-// obs::time_sample / obs::ScopedPhase anywhere under src/ or tools/, and
+// obs::ScopedPhase / obs::instant anywhere under src/ or tools/, and
 // cross-checks this table against the metric tables in
 // docs/OBSERVABILITY.md in both directions: a name registered here but not
 // documented fails, and a documented name that no longer exists here (or
@@ -15,8 +16,8 @@
 //
 // The `aa-lint-section:` comments are structural markers the linter keys
 // on; keep each constant inside the section that matches how it is
-// recorded (count → counters, ScopedPhase / time_sample → timers,
-// sample → samples, instant / span_ending_now → events).
+// recorded (count → counters, ScopedPhase → timers, instant /
+// span_ending_now → events).
 
 #include <string_view>
 
@@ -48,8 +49,6 @@ inline constexpr std::string_view kHeuristicsUrSolves = "heuristics/ur_solves";
 inline constexpr std::string_view kHeuristicsUuSolves = "heuristics/uu_solves";
 inline constexpr std::string_view kObsCertificatesDropped =
     "obs/certificates_dropped";
-inline constexpr std::string_view kObsHistogramDropped =
-    "obs/histogram_dropped";
 inline constexpr std::string_view kObsLogDropped = "obs/log_dropped";
 inline constexpr std::string_view kObsTraceDropped = "obs/trace_dropped";
 inline constexpr std::string_view kRefineServersReoptimized =
@@ -60,25 +59,12 @@ inline constexpr std::string_view kSuperOptimalBisectIterations =
 inline constexpr std::string_view kSuperOptimalCalls = "super_optimal/calls";
 inline constexpr std::string_view kSuperOptimalThreads =
     "super_optimal/threads";
-inline constexpr std::string_view kSvcBatches = "svc/batches";
-inline constexpr std::string_view kSvcDeadlineMisses = "svc/deadline_misses";
 inline constexpr std::string_view kSvcErrors = "svc/errors";
 inline constexpr std::string_view kSvcFreshCandidates =
     "svc/fresh_candidates";
 inline constexpr std::string_view kSvcInternalErrors = "svc/internal_errors";
-inline constexpr std::string_view kSvcMigrations = "svc/migrations";
 inline constexpr std::string_view kSvcReplyFailures = "svc/reply_failures";
-inline constexpr std::string_view kSvcRequests = "svc/requests";
 inline constexpr std::string_view kSvcShutdowns = "svc/shutdowns";
-inline constexpr std::string_view kSvcSolveCached = "svc/solve_cached";
-inline constexpr std::string_view kSvcSolveFull = "svc/solve_full";
-inline constexpr std::string_view kSvcSolveWarm = "svc/solve_warm";
-inline constexpr std::string_view kSvcTenantCreates = "svc/tenant_creates";
-inline constexpr std::string_view kSvcTenantDeletes = "svc/tenant_deletes";
-inline constexpr std::string_view kSvcTenantRedivides =
-    "svc/tenant_redivides";
-inline constexpr std::string_view kSvcTenantUpdates = "svc/tenant_updates";
-inline constexpr std::string_view kSvcTimeouts = "svc/timeouts";
 inline constexpr std::string_view kSvcWarmCertificateRejects =
     "svc/warm_certificate_rejects";
 
@@ -100,7 +86,6 @@ inline constexpr std::string_view kAllCounters[] = {
     kHeuristicsUrSolves,
     kHeuristicsUuSolves,
     kObsCertificatesDropped,
-    kObsHistogramDropped,
     kObsLogDropped,
     kObsTraceDropped,
     kRefineServersReoptimized,
@@ -108,23 +93,11 @@ inline constexpr std::string_view kAllCounters[] = {
     kSuperOptimalBisectIterations,
     kSuperOptimalCalls,
     kSuperOptimalThreads,
-    kSvcBatches,
-    kSvcDeadlineMisses,
     kSvcErrors,
     kSvcFreshCandidates,
     kSvcInternalErrors,
-    kSvcMigrations,
     kSvcReplyFailures,
-    kSvcRequests,
     kSvcShutdowns,
-    kSvcSolveCached,
-    kSvcSolveFull,
-    kSvcSolveWarm,
-    kSvcTenantCreates,
-    kSvcTenantDeletes,
-    kSvcTenantRedivides,
-    kSvcTenantUpdates,
-    kSvcTimeouts,
     kSvcWarmCertificateRejects,
 };
 
@@ -170,20 +143,6 @@ inline constexpr std::string_view kAllTimers[] = {
     kPhaseSvcRemember,
     kPhaseSvcSolve,
     kPhaseSvcWarmCandidate,
-};
-
-// aa-lint-section: samples
-// Histogram-sampled gauges and durations fed through obs::sample
-// (log2-bucketed, quantile readout — see obs/histogram.hpp).
-
-inline constexpr std::string_view kSampleSvcBatchSize = "svc/batch_size";
-inline constexpr std::string_view kSampleSvcQueueDepth = "svc/queue_depth";
-inline constexpr std::string_view kSampleSvcRequest = "svc/request";
-
-inline constexpr std::string_view kAllSamples[] = {
-    kSampleSvcBatchSize,
-    kSampleSvcQueueDepth,
-    kSampleSvcRequest,
 };
 
 // aa-lint-section: events

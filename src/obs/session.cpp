@@ -78,13 +78,6 @@ void Session::time(std::string_view name, double wall_ms, double cpu_ms) {
   metrics_.time(name, wall_ms, cpu_ms);
 }
 
-void Session::sample(std::string_view name, double value) {
-  const support::MutexLock lock(mutex_);
-  if (!metrics_.sample(name, value)) {
-    metrics_.count(metric::kObsHistogramDropped, 1);
-  }
-}
-
 TraceRing* Session::thread_ring() {
   if (g_ring_cache.session_id != id_) {
     const support::MutexLock lock(rings_mutex_);
@@ -211,7 +204,6 @@ support::JsonValue Session::to_json(bool include_timings) const {
   out.set("counters", metrics_snapshot.counters_json());
   if (include_timings) {
     out.set("timers", metrics_snapshot.timers_json());
-    out.set("histograms", metrics_snapshot.histograms_json());
     support::JsonValue::Array trace;
     const std::vector<TraceEvent> events = this->trace();
     trace.reserve(events.size());

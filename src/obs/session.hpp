@@ -3,22 +3,22 @@
 // Observability session: the thread-safe collector behind aa::obs.
 //
 // Instrumentation in the solver libraries is written against the free
-// functions below (obs::count, obs::sample, obs::instant, ...) and the
+// functions below (obs::count, obs::instant, obs::span_ending_now) and the
 // RAII ScopedPhase. All resolve the *installed* session at call time:
 //
 //   - no session installed  -> every call is a cheap no-op (one relaxed
 //     atomic load), so the default build pays nothing for instrumentation;
-//   - a Session object alive -> counters, timer stats, histograms, trace
-//     events and approximation certificates accumulate on it, so
-//     ThreadPool workers may record concurrently.
+//   - a Session object alive -> counters, timer stats, trace events and
+//     approximation certificates accumulate on it, so ThreadPool workers
+//     may record concurrently.
 //
 // Compiling with AA_OBS_ENABLED=0 (CMake -DAA_OBS=OFF) removes even the
 // atomic load: the inline entry points compile to literal no-ops and
 // ScopedPhase becomes an empty object.
 //
-// Counters, timers and histograms live in one Metrics bag behind a mutex.
-// Trace events do NOT go through that mutex: each recording thread gets
-// its own fixed-capacity TraceRing (trace_ring.hpp), registered with the
+// Counters and timers live in one Metrics bag behind a mutex. Trace
+// events do NOT go through that mutex: each recording thread gets its
+// own fixed-capacity TraceRing (trace_ring.hpp), registered with the
 // session on the thread's first event and drained only at snapshot /
 // teardown time, so phase tracing never contends with the metrics hot
 // path or with other tracing threads. trace() merges the rings by
@@ -35,9 +35,7 @@
 // kMaxCertificates): beyond the cap, events and certificates are dropped
 // but *counted* — per ring and aggregated under obs/trace_dropped, and
 // under obs/certificates_dropped — so truncation is never silent.
-// Histogram samples that cannot be recorded (negative / non-finite) are
-// counted under obs/histogram_dropped. Counters, timers and histograms
-// aggregate and never grow with run length.
+// Counters and timers aggregate and never grow with run length.
 
 #include <chrono>
 #include <cstdint>
@@ -77,8 +75,6 @@ class Session {
 
   void count(std::string_view name, std::int64_t delta = 1);
   void time(std::string_view name, double wall_ms, double cpu_ms);
-  /// Histogram sample; unrecordable values bump obs/histogram_dropped.
-  void sample(std::string_view name, double value);
   /// Appends to the calling thread's trace ring (registering one on first
   /// use); ring-full drops are counted per ring and surface aggregated
   /// under obs/trace_dropped in metrics().
@@ -88,8 +84,8 @@ class Session {
   /// Milliseconds since the session was constructed.
   [[nodiscard]] double elapsed_ms() const noexcept;
 
-  /// Counter/timer/histogram snapshot. Trace-ring drops (if any) are
-  /// folded into the obs/trace_dropped counter of the returned copy.
+  /// Counter/timer snapshot. Trace-ring drops (if any) are folded into
+  /// the obs/trace_dropped counter of the returned copy.
   [[nodiscard]] Metrics metrics() const;
   /// All rings merged, ordered by at_ms (stable within a ring).
   [[nodiscard]] std::vector<TraceEvent> trace() const;
@@ -97,8 +93,8 @@ class Session {
   [[nodiscard]] std::vector<TraceRingInfo> trace_rings() const;
   [[nodiscard]] std::vector<Certificate> certificates() const;
 
-  /// Full export: counters, (optionally) timers + histograms + trace, the
-  /// certificate list, and — when at least one certificate was recorded —
+  /// Full export: counters, (optionally) timers + trace, the certificate
+  /// list, and — when at least one certificate was recorded —
   /// the last certificate's fields flattened at top level (f_alg,
   /// f_super_optimal, f_linearized, alpha, achieved_ratio,
   /// certificate_ok), which is the blob `aa_solve --metrics` and the
@@ -136,25 +132,6 @@ inline void count([[maybe_unused]] std::string_view name,
                   [[maybe_unused]] std::int64_t delta = 1) {
 #if AA_OBS_ENABLED
   if (Session* session = Session::current()) session->count(name, delta);
-#endif
-}
-
-/// Records one sample of a named timer without a surrounding ScopedPhase —
-/// for durations measured elsewhere. No-op without a session.
-inline void time_sample([[maybe_unused]] std::string_view name,
-                        [[maybe_unused]] double wall_ms,
-                        [[maybe_unused]] double cpu_ms = 0.0) {
-#if AA_OBS_ENABLED
-  if (Session* session = Session::current()) session->time(name, wall_ms, cpu_ms);
-#endif
-}
-
-/// Records one value into a named log2-bucketed histogram (gauges sampled
-/// over time, latencies, sizes). No-op without a session.
-inline void sample([[maybe_unused]] std::string_view name,
-                   [[maybe_unused]] double value) {
-#if AA_OBS_ENABLED
-  if (Session* session = Session::current()) session->sample(name, value);
 #endif
 }
 

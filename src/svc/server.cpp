@@ -7,9 +7,11 @@
 #include <algorithm>
 #include <atomic>
 #include <cerrno>
+#include <chrono>
 #include <istream>
 #include <iterator>
 #include <ostream>
+#include <thread>
 #include <utility>
 
 #include "support/sync.hpp"
@@ -22,6 +24,10 @@ namespace {
 std::string too_large_message(std::size_t max_line_bytes) {
   return "request line exceeds " + std::to_string(max_line_bytes) + " bytes";
 }
+
+/// Pause after `accept` runs out of descriptors: the pending connection
+/// keeps the listener readable, so retrying at once would spin.
+constexpr auto kDescriptorBackoff = std::chrono::milliseconds(10);
 
 }  // namespace
 
@@ -81,6 +87,12 @@ void SocketServer::run() {
     FdHandle client(::accept(listener_.get(), nullptr, nullptr));
     if (!client.valid()) {
       if (errno == EINTR || errno == ECONNABORTED) continue;
+      if (errno == EMFILE || errno == ENFILE) {
+        // Out of descriptors: the pending client waits in the backlog
+        // while the next pass reaps finished readers and retries.
+        std::this_thread::sleep_for(kDescriptorBackoff);
+        continue;
+      }
       break;
     }
     auto connection = std::make_shared<Connection>();

@@ -21,9 +21,12 @@ namespace aa::svc {
 /// Accept loop over a Unix domain stream socket. One reader thread per
 /// connection, joined and dropped by the accept loop once its client has
 /// gone; replies are written back on the worker threads under a
-/// per-connection mutex. A request line longer than `max_line_bytes` gets
-/// a structured `too_large` error and the connection is closed (the stream
-/// cannot be resynchronized); a mid-line EOF is a clean disconnect.
+/// per-connection mutex. When the process runs out of descriptors
+/// (EMFILE/ENFILE), further clients wait in the listen backlog until a
+/// connection closes; the server keeps running. A request line longer
+/// than `max_line_bytes` gets a structured `too_large` error and the
+/// connection is closed (the stream cannot be resynchronized); a mid-line
+/// EOF is a clean disconnect.
 class SocketServer {
  public:
   SocketServer(Service& service, std::string socket_path,

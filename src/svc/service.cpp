@@ -155,7 +155,6 @@ bool Service::shutdown_requested() const noexcept {
 
 void Service::submit_line(const std::string& line, ReplyFn reply) {
   const Clock::time_point now = Clock::now();
-  obs::count(obs::metric::kSvcRequests);
 
   Pending pending;
   pending.reply = std::move(reply);
@@ -190,7 +189,6 @@ void Service::submit_line(const std::string& line, ReplyFn reply) {
           : 0;
   Shard& shard = *shards_[shard_index];
 
-  std::size_t depth = 0;
   {
     const support::MutexLock lock(shard.queue_mutex);
     QueueStats& stats = shard.queue_stats;
@@ -213,12 +211,11 @@ void Service::submit_line(const std::string& line, ReplyFn reply) {
     }
     if (op) ++stats.by_op[static_cast<std::size_t>(*op)];
     shard.queue.push_back(std::move(pending));
-    depth = shard.queue.size();
+    const std::size_t depth = shard.queue.size();
     stats.peak = std::max(stats.peak, depth);
     stats.depth.sample(static_cast<double>(depth));
   }
   shard.queue_cv.notify_one();
-  obs::sample(obs::metric::kSampleSvcQueueDepth, static_cast<double>(depth));
 }
 
 std::string Service::request(const std::string& line) {
@@ -339,12 +336,8 @@ void Service::finish_request(Shard& shard, const Pending& pending,
   TurnStats& stats = shard.stats;
   if (!ok) ++stats.errors;
   if (timeout) ++stats.timeouts;
-  if (miss) {
-    ++stats.deadline_misses;
-    obs::count(obs::metric::kSvcDeadlineMisses);
-  }
+  if (miss) ++stats.deadline_misses;
   stats.request_latency_ms.sample(total_ms);
-  obs::sample(obs::metric::kSampleSvcRequest, total_ms);
 
   const bool scoped =
       !pending.error_reply && tenant_scoped(pending.request.op);
@@ -413,6 +406,12 @@ void Service::finish_request(Shard& shard, const Pending& pending,
     obs::log_event(obs::LogLevel::kWarn, obs::metric::kLogSvcSlowRequest,
                    pending.rid, tenant_id, std::move(fields));
   }
+}
+
+JsonValue Service::stats() {
+  const support::MutexLock first_turn(shards_.front()->turn_mutex);
+  const AllShardsTurnLock guards(*this);
+  return stats_json();
 }
 
 JsonValue Service::tail_json() {
@@ -562,7 +561,6 @@ void Service::redivide_pool_locked() {
         std::floor(slices[i] / static_cast<double>(config_.num_servers)));
     tenant.state.set_solve_capacity(std::max<util::Resource>(1, per_server));
   }
-  obs::count(obs::metric::kSvcTenantRedivides);
   ++pool_redivides_;
 }
 
@@ -588,7 +586,6 @@ JsonValue Service::tenant_admin(const Request& request) {
       home.tenants.emplace(name, std::move(tenant));
       policy_->on_tenant_created(
           name, request.credits.value_or(config_.karma_opening_credits));
-      obs::count(obs::metric::kSvcTenantCreates);
       ++tenant_creates_;
       redivide_pool_locked();
       JsonValue reply = make_ok_reply(request.op, request.tag);
@@ -610,7 +607,6 @@ JsonValue Service::tenant_admin(const Request& request) {
       if (request.weight) tenant->quota.weight = *request.weight;
       if (request.quota) tenant->quota.quota_units = *request.quota;
       if (request.max_threads) tenant->quota.max_threads = *request.max_threads;
-      obs::count(obs::metric::kSvcTenantUpdates);
       ++tenant_updates_;
       redivide_pool_locked();
       JsonValue reply = make_ok_reply(request.op, request.tag);
@@ -636,7 +632,6 @@ JsonValue Service::tenant_admin(const Request& request) {
       const std::size_t threads_removed = it->second->state.num_threads();
       home.tenants.erase(it);
       policy_->on_tenant_deleted(name);
-      obs::count(obs::metric::kSvcTenantDeletes);
       ++tenant_deletes_;
       redivide_pool_locked();
       JsonValue reply = make_ok_reply(request.op, request.tag);
@@ -684,9 +679,6 @@ JsonValue Service::tenant_list_json() {
 std::vector<Service::Outgoing> Service::process_batch(
     Shard& shard, std::vector<Pending> batch) {
   const obs::ScopedPhase phase(obs::metric::kPhaseSvcBatch);
-  obs::count(obs::metric::kSvcBatches);
-  obs::sample(obs::metric::kSampleSvcBatchSize,
-              static_cast<double>(batch.size()));
   ++shard.stats.batches;
   shard.stats.batch_size.sample(static_cast<double>(batch.size()));
 
@@ -721,7 +713,6 @@ std::vector<Service::Outgoing> Service::process_batch(
         reply = make_error_reply(error_code::kTimeout,
                                  "deadline expired before processing",
                                  op_name(request.op), request.tag);
-        obs::count(obs::metric::kSvcTimeouts);
       } else if (tenant_scoped(request.op)) {
         const std::string_view name = tenant_name(request);
         const auto it = shard.tenants.find(name);
@@ -1233,9 +1224,6 @@ std::string Service::metrics_text() {
     obs::prometheus_counter(
         out, "aa_obs_trace_dropped_total",
         session_metrics.counter(obs::metric::kObsTraceDropped));
-    obs::prometheus_counter(
-        out, "aa_obs_histogram_dropped_total",
-        session_metrics.counter(obs::metric::kObsHistogramDropped));
     obs::prometheus_counter(
         out, "aa_obs_certificates_dropped_total",
         session_metrics.counter(obs::metric::kObsCertificatesDropped));

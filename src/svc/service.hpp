@@ -28,9 +28,9 @@
 //   - Tenant-less control requests (stats, metrics, shutdown, and the
 //     tenant_* admin verbs) are routed to shard 0; the ones that must see
 //     every shard briefly acquire the other shards' turn locks in
-//     ascending order — only the shard-0 worker (and tail_json(), which
-//     takes shard 0's first) ever holds more than one turn lock, so the
-//     ordering is deadlock-free. Tenant churn
+//     ascending order — only the shard-0 worker (and stats() and
+//     tail_json(), which take shard 0's first) ever holds more than one
+//     turn lock, so the ordering is deadlock-free. Tenant churn
 //     (create/update/delete) re-divides the global capacity pool across
 //     tenants through the configured FairnessPolicy (svc/fairness.hpp)
 //     and publishes each tenant's slice as its InstanceState solve
@@ -47,23 +47,24 @@
 // (Shard::queue_stats under queue_mutex, Shard::stats under turn_mutex;
 // log2-bucketed obs/histogram.hpp distributions merge exactly), and every
 // per-request figure is recorded once, by finish_request, from the built
-// reply. The `stats` op (quantiles), the `metrics` op (metrics_text, a
-// Prometheus exposition with per-tenant labeled families) and the `trace`
-// op merge the shards under every turn lock. The service also mirrors its
-// figures into the installed aa::obs session (svc/* counters, svc/batch +
-// svc/solve phase timers, queue-depth / batch-size / request-latency
-// histogram samples, queue-wait spans and warm-start path instants on the
-// trace rings), so `aa_serve --metrics` and `--trace-out` export them
-// through the session paths.
+// reply. These blocks and the tenant-admin counters are the only record
+// of the service's figures: the `stats` op (stats(), quantiles), the
+// `metrics` op (metrics_text, a Prometheus exposition with per-tenant
+// labeled families) and the `trace` op merge the shards under every turn
+// lock, and `aa_serve --metrics` writes stats() into its blob. The
+// installed aa::obs session gets only what no stats field holds: a few
+// error counters, the svc/batch + svc/solve phase timers, queue-wait
+// spans and warm-start path instants on the trace rings (for
+// `--trace-out`), and the reply certificates.
 //
 // Lock hierarchy (machine-checked through the support/sync.hpp
 // annotations under Clang -Werror=thread-safety; the table in
 // docs/ARCHITECTURE.md mirrors this comment):
 //
 //   shard.turn_mutex       shard 0's first, then the others ascending
-//     -> shard.queue_mutex (AllShardsTurnLock; only the shard-0 worker
-//                          and tail_json() ever hold more than one turn
-//                          lock)
+//     -> shard.queue_mutex (AllShardsTurnLock; only the shard-0 worker,
+//                          stats() and tail_json() ever hold more than
+//                          one turn lock)
 //   shard.deliver_mutex    independent: held alone while replies drain
 //
 // queue_mutex is also taken on its own by submit_line (producers never
@@ -169,6 +170,12 @@ class Service {
   [[nodiscard]] const ServiceConfig& config() const noexcept {
     return config_;
   }
+
+  /// The `stats` reply payload: every shard's figures merged, plus the
+  /// tenant-admin counters. Dumped into aa_serve's --metrics blob at
+  /// shutdown; takes the locks like tail_json(). Thread-safe; never call
+  /// from a reply callback.
+  [[nodiscard]] support::JsonValue stats() AA_EXCLUDES(all_turns_);
 
   /// Tail-based capture snapshot: the K slowest and the K most recent
   /// errored requests with their rid, tenant, outcome, and span chain.
@@ -329,8 +336,8 @@ class Service {
   /// Scoped "every shard's turn lock" acquisition: locks every shard's
   /// turn but shard 0's, ascending, and acquires the all_turns_ phantom
   /// that names the full set. Only constructed while the caller (the
-  /// shard-0 worker, or tail_json()) holds shard 0's turn lock, so the
-  /// global lock order is strictly ascending and deadlock-free.
+  /// shard-0 worker, stats() or tail_json()) holds shard 0's turn lock,
+  /// so the global lock order is strictly ascending and deadlock-free.
   class AA_SCOPED_CAPABILITY AllShardsTurnLock {
    public:
     explicit AllShardsTurnLock(Service& service)

@@ -161,7 +161,6 @@ const ServiceSolveResult& WarmStartSolver::solve(const InstanceState& state,
   if (have_previous_ && !force_full && version == solved_version_) {
     previous_.path = SolvePath::kCached;
     previous_.migrations = 0;
-    obs::count(obs::metric::kSvcSolveCached);
     return previous_;
   }
 
@@ -176,7 +175,6 @@ const ServiceSolveResult& WarmStartSolver::solve(const InstanceState& state,
     solved.path = SolvePath::kFull;
     solved.certificate = core::certify(instance, solved.result,
                                        kFullSolverLabel, certify_options);
-    obs::count(obs::metric::kSvcSolveFull);
     return remember(std::move(solved), version);
   }
 
@@ -191,7 +189,6 @@ const ServiceSolveResult& WarmStartSolver::solve(const InstanceState& state,
     solved.path = SolvePath::kFull;
     solved.certificate = core::certify(instance, solved.result,
                                        kFullSolverLabel, certify_options);
-    obs::count(obs::metric::kSvcSolveFull);
   } else {
     // Shared prefix of both candidates: the super-optimal allocation and
     // the two-segment linearization certify the *current* utilities.
@@ -246,14 +243,12 @@ const ServiceSolveResult& WarmStartSolver::solve(const InstanceState& state,
       solved.result = std::move(warm);
       solved.path = SolvePath::kWarm;
       solved.certificate = std::move(warm_certificate);
-      obs::count(obs::metric::kSvcSolveWarm);
     } else {
       fresh.c_hat = std::move(warm.c_hat);
       solved.result = std::move(fresh);
       solved.path = SolvePath::kFull;
       solved.certificate = core::certify(instance, solved.result,
                                          kFullSolverLabel, certify_options);
-      obs::count(obs::metric::kSvcSolveFull);
       if (!warm_certificate.ok()) {
         obs::count(obs::metric::kSvcWarmCertificateRejects);
       }
@@ -262,13 +257,11 @@ const ServiceSolveResult& WarmStartSolver::solve(const InstanceState& state,
   solved.migrations = count_migrations(previous, solved.result.assignment);
 
   // Surface the reply certificate on the installed session (the
-  // counters/certificate list behind `aa_serve --metrics`).
+  // certificate list behind `aa_serve --metrics`).
   if (obs::Session::current() != nullptr) {
     obs::ScopedPhase record_phase(obs::metric::kPhaseSvcRecordCertificate);
     obs::record_certificate(solved.certificate.input);
   }
-  obs::count(obs::metric::kSvcMigrations,
-             static_cast<std::int64_t>(solved.migrations));
   return remember(std::move(solved), version);
 }
 

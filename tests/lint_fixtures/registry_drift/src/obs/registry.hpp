@@ -11,9 +11,6 @@ inline constexpr std::string_view kAllCounters[] = {kFooBar};
 // aa-lint-section: timers
 inline constexpr std::string_view kAllTimers[] = {};
 
-// aa-lint-section: samples
-inline constexpr std::string_view kAllSamples[] = {};
-
 // aa-lint-section: end
 
 }  // namespace aa::obs::metric

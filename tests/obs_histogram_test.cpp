@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "obs/histogram.hpp"
-#include "obs/metrics.hpp"
 #include "support/json.hpp"
 #include "support/stats.hpp"
 #include "support/thread_pool.hpp"
@@ -90,13 +89,13 @@ TEST(Histogram, MergeMatchesSequentiallyFedReference) {
   // identical bucket counts, count, sum, min, and max.
   support::ThreadPool pool(4);
   constexpr std::size_t kWorkers = 8;
-  constexpr std::size_t kSamplesPerWorker = 1000;
+  constexpr std::size_t kValuesPerWorker = 1000;
   std::vector<std::vector<double>> streams(kWorkers);
   std::mt19937 rng(20160523);
   std::lognormal_distribution<double> latency(0.0, 2.0);
   for (auto& stream : streams) {
-    stream.reserve(kSamplesPerWorker);
-    for (std::size_t s = 0; s < kSamplesPerWorker; ++s) {
+    stream.reserve(kValuesPerWorker);
+    for (std::size_t s = 0; s < kValuesPerWorker; ++s) {
       stream.push_back(latency(rng));
     }
   }
@@ -110,7 +109,7 @@ TEST(Histogram, MergeMatchesSequentiallyFedReference) {
 
   Histogram reference;
   std::vector<double> all;
-  all.reserve(kWorkers * kSamplesPerWorker);
+  all.reserve(kWorkers * kValuesPerWorker);
   for (const auto& stream : streams) {
     for (const double value : stream) {
       reference.sample(value);
@@ -182,24 +181,6 @@ TEST(Histogram, JsonListsOnlyOccupiedBuckets) {
     EXPECT_GT(bucket.at("le").as_number(), 0.0);
   }
   EXPECT_EQ(total, 3u);
-}
-
-TEST(MetricsHistograms, SampleCreatesAndMergesNamedHistograms) {
-  Metrics a;
-  EXPECT_TRUE(a.sample("svc/request_ms", 1.0));
-  EXPECT_TRUE(a.sample("svc/request_ms", 2.0));
-  EXPECT_FALSE(a.sample("svc/request_ms", -1.0));  // Rejection propagates.
-  Metrics b;
-  EXPECT_TRUE(b.sample("svc/request_ms", 4.0));
-  EXPECT_TRUE(b.sample("svc/queue_depth", 3.0));
-  a.merge(b);
-  const Histogram* request = a.histogram("svc/request_ms");
-  ASSERT_NE(request, nullptr);
-  EXPECT_EQ(request->count(), 3u);
-  EXPECT_DOUBLE_EQ(request->sum(), 7.0);
-  ASSERT_NE(a.histogram("svc/queue_depth"), nullptr);
-  EXPECT_EQ(a.histogram("svc/queue_depth")->count(), 1u);
-  EXPECT_EQ(a.histogram("never_sampled"), nullptr);
 }
 
 }  // namespace

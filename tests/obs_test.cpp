@@ -40,12 +40,12 @@ TEST(Metrics, TimerMergeMatchesSequentialRunningStats) {
   // guarantees, extended over the named-timer map.
   support::ThreadPool pool(4);
   constexpr std::size_t kWorkers = 8;
-  constexpr std::size_t kSamplesPerWorker = 257;
+  constexpr std::size_t kValuesPerWorker = 257;
   std::vector<Metrics> shards(kWorkers);
   support::parallel_for(pool, 0, kWorkers, [&](std::size_t w) {
-    for (std::size_t s = 0; s < kSamplesPerWorker; ++s) {
+    for (std::size_t s = 0; s < kValuesPerWorker; ++s) {
       const auto sample =
-          static_cast<double>(w * kSamplesPerWorker + s);
+          static_cast<double>(w * kValuesPerWorker + s);
       shards[w].time("solve", 1.5 * sample + 0.25, 0.5 * sample);
       shards[w].count("samples");
     }
@@ -56,7 +56,7 @@ TEST(Metrics, TimerMergeMatchesSequentialRunningStats) {
 
   support::RunningStats wall_reference;
   support::RunningStats cpu_reference;
-  for (std::size_t i = 0; i < kWorkers * kSamplesPerWorker; ++i) {
+  for (std::size_t i = 0; i < kWorkers * kValuesPerWorker; ++i) {
     const auto sample = static_cast<double>(i);
     wall_reference.add(1.5 * sample + 0.25);
     cpu_reference.add(0.5 * sample);
@@ -71,7 +71,7 @@ TEST(Metrics, TimerMergeMatchesSequentialRunningStats) {
   EXPECT_DOUBLE_EQ(stat->wall_ms.max(), wall_reference.max());
   EXPECT_NEAR(stat->cpu_ms.mean(), cpu_reference.mean(), 1e-9);
   EXPECT_EQ(merged.counter("samples"),
-            static_cast<std::int64_t>(kWorkers * kSamplesPerWorker));
+            static_cast<std::int64_t>(kWorkers * kValuesPerWorker));
 }
 
 TEST(Metrics, MergeOrderDoesNotChangeTimerMoments) {
@@ -147,7 +147,6 @@ TEST(Session, NoSessionMeansNoOp) {
   ASSERT_EQ(Session::current(), nullptr);
   // None of these may crash or leak state into a later session.
   count("ghost", 42);
-  sample("ghost_hist", 1.0);
   instant("ghost_instant");
   span_ending_now("ghost_span", 0.5);
   {
@@ -177,7 +176,7 @@ TEST(Session, DisabledPathIsOneRelaxedLoadAndBranch) {
   const auto started = std::chrono::steady_clock::now();
   for (int i = 0; i < kCalls; ++i) {
     count("off", 1);
-    sample("off", 1.0);
+    instant("off");
     const ScopedPhase phase("off");
   }
   const double elapsed_us =

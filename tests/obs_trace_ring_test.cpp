@@ -171,13 +171,6 @@ TEST(ChromeTrace, ExportsLoadableTraceEventDocument) {
   EXPECT_EQ(completes, 1u);
 }
 
-TEST(Prometheus, NameSanitizesToLegalCharset) {
-  EXPECT_EQ(prometheus_name("svc/queue_depth"), "svc_queue_depth");
-  EXPECT_EQ(prometheus_name("alg2/solve.refined"), "alg2_solve_refined");
-  EXPECT_EQ(prometheus_name("9lives"), "_9lives");
-  EXPECT_EQ(prometheus_name("already_fine:ok"), "already_fine:ok");
-}
-
 TEST(Prometheus, ValueRendersRoundTripDecimalAndInf) {
   EXPECT_EQ(prometheus_value(1.0), "1");
   EXPECT_EQ(prometheus_value(0.25), "0.25");

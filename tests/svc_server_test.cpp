@@ -365,6 +365,64 @@ std::string read_file(const std::string& path) {
   return buffer.str();
 }
 
+// The service's figures live in its stats blocks, not in the obs session:
+// the --metrics blob carries them as the final `stats` payload under
+// "service", and none of them is mirrored into the session's counters.
+TEST(ServeBinary, MetricsBlobCarriesTheServiceStats) {
+  const std::string blob_file = socket_path("blob") + ".metrics.json";
+  const std::string script =
+      R"({"op": "tenant_create", "tenant": "east"})"
+      "\\n" + std::string(kAddPower) + "\\n" + kAddPower + "\\n"
+      R"({"op": "solve"})"
+      "\\n"
+      R"({"op": "solve"})"
+      "\\n"
+      R"({"op": "stats"})";
+  // --batch-max 1: one batch per request, so the batch count is exact.
+  const CommandResult run =
+      run_command("printf '" + script + "\\n' | " + kServe +
+                  " --stdio 1 --batch-max 1 --metrics " + blob_file);
+  ASSERT_EQ(run.status, 0) << run.output;
+  const std::vector<std::string> replies = lines_of(run.output);
+  ASSERT_EQ(replies.size(), 6u) << run.output;
+  const JsonValue in_band = json_parse(replies[5]);
+  ASSERT_TRUE(in_band.at("ok").as_bool()) << replies[5];
+
+  const JsonValue blob = json_parse(read_file(blob_file));
+  std::remove(blob_file.c_str());
+  const JsonValue& service = blob.at("service");
+  EXPECT_EQ(service.at("requests_total").as_int(), 6);
+  EXPECT_EQ(service.at("batches").as_int(), 6);
+  const JsonValue& solves = service.at("solves");
+  EXPECT_EQ(solves.at("full").as_int(), 1);
+  EXPECT_EQ(solves.at("cached").as_int(), 1);
+  EXPECT_EQ(solves.at("warm").as_int(), 0);
+  EXPECT_EQ(solves.at("coalesced").as_int(), 0);
+  EXPECT_EQ(service.at("tenant_ops").at("creates").as_int(), 1);
+  // Nothing was submitted after the stats line, so the in-band reply
+  // already saw the final figures.
+  for (const char* key : {"requests_total", "batches", "migrations"}) {
+    EXPECT_EQ(service.at(key).as_int(), in_band.at(key).as_int()) << key;
+  }
+  for (const char* path : {"full", "warm", "cached", "coalesced"}) {
+    EXPECT_EQ(solves.at(path).as_int(),
+              in_band.at("solves").at(path).as_int())
+        << path;
+  }
+  EXPECT_EQ(service.at("tenant_ops").dump(), in_band.at("tenant_ops").dump());
+
+  const JsonValue& counters = blob.at("counters");
+  for (const char* name :
+       {"svc/requests", "svc/timeouts", "svc/deadline_misses",
+        "svc/batches", "svc/solve_cached", "svc/solve_warm",
+        "svc/solve_full", "svc/migrations", "svc/tenant_creates",
+        "svc/tenant_updates", "svc/tenant_deletes",
+        "svc/tenant_redivides"}) {
+    EXPECT_EQ(counters.find(name), nullptr) << name;
+  }
+  EXPECT_EQ(blob.find("histograms"), nullptr);
+}
+
 // The acceptance chain across real processes: aa_loadgen's client-side
 // slow-request log joins on `rid` with the server's structured log, the
 // shutdown slow-trace tail dump, and the Perfetto trace — one request id
@@ -536,6 +594,73 @@ TEST(ServeBinary, SequentialSessionsKeepTheFdCountFlat) {
     after = open_fds(child.pid);
   }
   EXPECT_LE(after, before + 2) << "fds before " << before;
+
+  FdHandle fd = connect_unix(sock, 2000);
+  LineChannel channel(fd.get(), kDefaultMaxLineBytes);
+  ASSERT_TRUE(channel.write_line(R"({"op": "shutdown"})"));
+  (void)channel.read_line();
+  int status = -1;
+  ASSERT_EQ(::waitpid(child.pid, &status, 0), child.pid);
+  child.pid = -1;
+  EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0) << status;
+}
+
+// Running out of descriptors pauses accepting instead of ending the
+// server: 80 clients held open at once under a 64-descriptor limit wait in
+// the listen backlog, and once they leave a new client is served.
+TEST(ServeBinary, ConcurrentClientsPastTheFdLimitLeaveTheServerUp) {
+  const std::string sock = socket_path("emfile");
+  ChildGuard child;
+  child.pid = ::fork();
+  ASSERT_GE(child.pid, 0);
+  if (child.pid == 0) {
+    const rlimit limit{64, 64};
+    (void)::setrlimit(RLIMIT_NOFILE, &limit);
+    ::execl(kServe, kServe, "--socket", sock.c_str(),
+            static_cast<char*>(nullptr));
+    ::_exit(127);
+  }
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!std::filesystem::exists(sock) &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  ASSERT_TRUE(std::filesystem::exists(sock));
+
+  constexpr int kClients = 80;
+  {
+    std::vector<FdHandle> clients;
+    try {
+      while (static_cast<int>(clients.size()) < kClients) {
+        clients.push_back(connect_unix(sock, 2000));
+      }
+    } catch (const std::exception& error) {
+      FAIL() << "client " << clients.size() << ": " << error.what();
+    }
+    // Give the accept loop time to run into the limit while all are open.
+    std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  }
+  // A reaped child must not be signalled again by the guard.
+  const auto still_running = [&child] {
+    if (::waitpid(child.pid, nullptr, WNOHANG) == 0) return true;
+    child.pid = -1;
+    return false;
+  };
+  ASSERT_TRUE(still_running())
+      << "aa_serve exited while its clients were connected";
+
+  try {
+    FdHandle fd = connect_unix(sock, 2000);
+    LineChannel channel(fd.get(), kDefaultMaxLineBytes);
+    ASSERT_TRUE(channel.write_line(R"({"op": "solve"})"));
+    const std::optional<std::string> reply = channel.read_line();
+    ASSERT_TRUE(reply.has_value());
+    EXPECT_TRUE(json_parse(*reply).at("ok").as_bool()) << *reply;
+  } catch (const std::exception& error) {
+    FAIL() << "client after the burst: " << error.what();
+  }
+  ASSERT_TRUE(still_running());
 
   FdHandle fd = connect_unix(sock, 2000);
   LineChannel channel(fd.get(), kDefaultMaxLineBytes);

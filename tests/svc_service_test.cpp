@@ -339,6 +339,46 @@ TEST(Service, TimedOutSolveCountsTowardItsTenant) {
   service.stop();
 }
 
+// Service::stats() is the `stats` payload read from outside the request
+// path (aa_serve dumps it into the --metrics blob): with tenants on both
+// shards it sees every shard's figures, the same as the verb.
+TEST(Service, PublicStatsMatchesTheStatsVerb) {
+  ServiceConfig config;
+  config.shards = 2;
+  config.workers = 2;
+  Service service(config);
+  service.start();
+  ASSERT_EQ(shard_of("alpha", 2), 1u);
+  EXPECT_TRUE(
+      ask(service, R"({"op": "tenant_create", "tenant": "alpha"})")
+          .at("ok")
+          .as_bool());
+  EXPECT_TRUE(ask(service, kAddPower).at("ok").as_bool());
+  EXPECT_TRUE(
+      ask(service,
+          R"({"op": "add_thread", "tenant": "alpha", "thread": {"type": "power", "scale": 2.0, "beta": 0.5}})")
+          .at("ok")
+          .as_bool());
+  EXPECT_TRUE(ask(service, R"({"op": "solve"})").at("ok").as_bool());
+  EXPECT_TRUE(
+      ask(service, R"({"op": "solve", "tenant": "alpha"})").at("ok").as_bool());
+
+  const JsonValue verb = ask(service, R"({"op": "stats"})");
+  const JsonValue direct = service.stats();
+  EXPECT_EQ(direct.find("ok"), nullptr);
+  EXPECT_EQ(direct.at("requests_total").as_int(), 6);
+  EXPECT_EQ(direct.at("threads").as_int(), 2);
+  EXPECT_EQ(direct.at("solves").at("full").as_int(), 2);
+  // The stats request itself finishes after its reply is built, so only
+  // its own latency sample separates the two reads.
+  for (const char* key : {"requests_total", "requests", "threads", "version",
+                          "tenants", "batches", "solves", "migrations",
+                          "tenant_ops", "solve_latency"}) {
+    EXPECT_EQ(direct.at(key).dump(), verb.at(key).dump()) << key;
+  }
+  service.stop();
+}
+
 // Pinned counters. One fixed script over the default tenant, "east" (shard
 // 0 of 2, with the default tenant) and "alpha" (shard 1 of 2), run with
 // synchronous round trips so every figure is deterministic. Every number

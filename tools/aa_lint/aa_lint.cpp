@@ -503,7 +503,6 @@ class Linter {
     static const std::map<std::string, std::string> kSectionArray = {
         {"counters", "kAllCounters"},
         {"timers", "kAllTimers"},
-        {"samples", "kAllSamples"},
         {"events", "kAllEvents"},
         {"log_events", "kAllLogEvents"},
     };
@@ -546,7 +545,6 @@ class Linter {
     static const std::map<std::string, std::string> kSectionHeading = {
         {"counters", "### Counters"},
         {"timers", "### Phase timers"},
-        {"samples", "### Samples"},
         {"events", "### Trace events"},
     };
     std::set<std::string> documented_all;

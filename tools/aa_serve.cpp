@@ -33,11 +33,12 @@
 // --karma-credits sets the opening credit balance minted for tenants
 // created without an explicit "credits" field under the karma policy.
 //
-// --metrics writes the aa::obs blob (svc/* counters, solve timings, and the
-// per-solve certificates) to FILE, or stdout with "-", at exit. --trace-out
-// writes the run's merged trace rings as a Chrome trace_event JSON document
-// at exit — load it in chrome://tracing or https://ui.perfetto.dev. Either
-// flag installs the obs session. Live scraping without waiting for exit
+// --metrics writes the aa::obs blob (counters, phase timings, and the
+// per-solve certificates) to FILE, or stdout with "-", at exit, with the
+// final `stats` payload under its "service" key. --trace-out writes the
+// run's merged trace rings as a Chrome trace_event JSON document at exit —
+// load it in chrome://tracing or https://ui.perfetto.dev. Either flag
+// installs the obs session. Live scraping without waiting for exit
 // goes through the `metrics` protocol verb (Prometheus text; see aa_top).
 //
 // Observability (docs/OBSERVABILITY.md "Request tracing, structured logs &
@@ -211,7 +212,9 @@ int main(int argc, char** argv) {
     }
 
     if (session != nullptr && !metrics_path.empty()) {
-      const std::string blob = session->to_json().dump(2) + "\n";
+      support::JsonValue metrics = session->to_json();
+      metrics.set("service", service.stats());
+      const std::string blob = metrics.dump(2) + "\n";
       if (metrics_path == "-") {
         std::cout << blob;
       } else {

@@ -7,7 +7,7 @@
 // the returned Prometheus text exposition, and renders a one-screen
 // summary: request/error rates (computed between polls), queue depth,
 // solve-path mix, certificate verdicts, latency quantiles, telemetry
-// drop counters (trace, per-ring, histogram, and structured-log drops),
+// drop counters (trace, per-ring, and structured-log drops),
 // deadline misses, and — when the server reports more than one tenant —
 // the top tenants by request rate (per-tenant requests/errors/threads/
 // slice plus the 1-minute SLO burn rate and lifetime error-budget
@@ -461,9 +461,7 @@ void render_dashboard(const Exposition& exposition,
   }
   std::cout << "drops     trace "
             << value_or_zero(exposition, "aa_obs_trace_dropped_total")
-            << "  ring " << ring_drops << "  histogram "
-            << value_or_zero(exposition, "aa_obs_histogram_dropped_total")
-            << "  log "
+            << "  ring " << ring_drops << "  log "
             << value_or_zero(exposition, "aa_obs_log_dropped_total")
             << "\n";
   std::cout << "slo       misses "
