@@ -9,9 +9,11 @@
 
 #include "aa/algorithm1.hpp"
 #include "aa/algorithm2.hpp"
+#include "aa/heterogeneous.hpp"
 #include "aa/heuristics.hpp"
 #include "aa/refine.hpp"
 #include "sim/workload.hpp"
+#include "utility/generator.hpp"
 
 namespace {
 
@@ -65,6 +67,21 @@ void BM_HeuristicRR_PaperPoint(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_HeuristicRR_PaperPoint);
+
+// n = 512 on m = 8 servers of capacity 800, 850, ..., 1150.
+void BM_Algorithm2Hetero(benchmark::State& state) {
+  aa::core::HeteroInstance instance;
+  for (aa::util::Resource j = 0; j < 8; ++j) {
+    instance.capacities.push_back(800 + 50 * j);
+  }
+  auto rng = aa::support::Rng::child(42, 9001);
+  instance.threads =
+      aa::util::generate_utilities(512, instance.max_capacity(), {}, rng);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(aa::core::solve_algorithm2_hetero(instance));
+  }
+}
+BENCHMARK(BM_Algorithm2Hetero)->Unit(benchmark::kMillisecond);
 
 void BM_InstanceGeneration_PaperPoint(benchmark::State& state) {
   std::uint64_t seed = 0;

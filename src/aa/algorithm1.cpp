@@ -123,7 +123,7 @@ Assignment assign_algorithm1_reference(
 //
 // Net effect: O(n log n + (n + m) m) instead of O(m n^2) for the
 // assignment rounds, with the reference kept above as the differential-
-// testing oracle and benchmark baseline (tools/aa_bench `alg1_reference`).
+// testing oracle and benchmark baseline (BM_Algorithm1Reference_ScaleN).
 Assignment assign_algorithm1(const Instance& instance,
                              std::span<const util::Linearized> linearized) {
   const obs::ScopedPhase obs_phase(obs::metric::kPhaseAlg1Assign);

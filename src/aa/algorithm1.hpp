@@ -41,8 +41,9 @@ namespace aa::core {
 /// every (thread, server) pair each round. Kept as the differential-testing
 /// oracle for the incremental implementation above
 /// (tests/algorithm1_equivalence_test.cpp pins bit-identical output) and as
-/// the `alg1_reference` baseline in tools/aa_bench. Records no obs metrics,
-/// so oracle runs never pollute a measurement session.
+/// the baseline of BM_Algorithm1Reference_ScaleN in bench/bm_scaling.cpp.
+/// Records no obs metrics, so oracle runs never pollute a measurement
+/// session.
 [[nodiscard]] Assignment assign_algorithm1_reference(
     const Instance& instance, std::span<const util::Linearized> linearized);
 

@@ -248,33 +248,24 @@ TraceRidScope::TraceRidScope(std::uint64_t rid) noexcept
 
 TraceRidScope::~TraceRidScope() { g_trace_rid = previous_; }
 
-void instant([[maybe_unused]] std::string_view name) {
-#if AA_OBS_ENABLED
+void instant(std::string_view name) {
   if (Session* session = Session::current()) {
     session->add_trace({TraceEvent::Kind::kInstant, std::string(name), g_depth,
                         session->elapsed_ms(), 0.0, 0.0, 0, g_trace_rid});
   }
-#endif
 }
 
-void span_ending_now([[maybe_unused]] std::string_view name,
-                     [[maybe_unused]] double wall_ms) {
-#if AA_OBS_ENABLED
+void span_ending_now(std::string_view name, double wall_ms) {
   if (Session* session = Session::current()) {
     const double duration = std::max(wall_ms, 0.0);
     const double start = std::max(session->elapsed_ms() - duration, 0.0);
     session->add_trace({TraceEvent::Kind::kComplete, std::string(name),
                         g_depth, start, duration, 0.0, 0, g_trace_rid});
   }
-#endif
 }
 
-ScopedPhase::ScopedPhase([[maybe_unused]] std::string_view name)
-#if AA_OBS_ENABLED
-    : session_(Session::current())
-#endif
-{
-#if AA_OBS_ENABLED
+ScopedPhase::ScopedPhase(std::string_view name)
+    : session_(Session::current()) {
   if (session_ == nullptr) return;
   name_ = std::string(name);
   depth_ = g_depth++;
@@ -283,11 +274,9 @@ ScopedPhase::ScopedPhase([[maybe_unused]] std::string_view name)
   cpu_start_ms_ = thread_cpu_ms();
   session_->add_trace({TraceEvent::Kind::kEnter, name_, depth_,
                        session_->elapsed_ms(), 0.0, 0.0, 0, rid_});
-#endif
 }
 
 ScopedPhase::~ScopedPhase() {
-#if AA_OBS_ENABLED
   if (session_ == nullptr) return;
   --g_depth;
   const double wall =
@@ -296,7 +285,6 @@ ScopedPhase::~ScopedPhase() {
   session_->time(name_, wall, cpu);
   session_->add_trace({TraceEvent::Kind::kExit, name_, depth_,
                        session_->elapsed_ms(), wall, cpu, 0, rid_});
-#endif
 }
 
 }  // namespace aa::obs

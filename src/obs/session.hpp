@@ -7,14 +7,10 @@
 // RAII ScopedPhase. All resolve the *installed* session at call time:
 //
 //   - no session installed  -> every call is a cheap no-op (one relaxed
-//     atomic load), so the default build pays nothing for instrumentation;
+//     atomic load), so an unobserved run pays nothing for instrumentation;
 //   - a Session object alive -> counters, timer stats, trace events and
 //     approximation certificates accumulate on it, so ThreadPool workers
 //     may record concurrently.
-//
-// Compiling with AA_OBS_ENABLED=0 (CMake -DAA_OBS=OFF) removes even the
-// atomic load: the inline entry points compile to literal no-ops and
-// ScopedPhase becomes an empty object.
 //
 // Counters and timers live in one Metrics bag behind a mutex. Trace
 // events do NOT go through that mutex: each recording thread gets its
@@ -49,10 +45,6 @@
 #include "obs/trace_ring.hpp"
 #include "support/json.hpp"
 #include "support/sync.hpp"
-
-#ifndef AA_OBS_ENABLED
-#define AA_OBS_ENABLED 1
-#endif
 
 namespace aa::obs {
 
@@ -128,11 +120,8 @@ class Session {
 [[nodiscard]] double thread_cpu_ms() noexcept;
 
 /// Adds to a named counter on the installed session; no-op without one.
-inline void count([[maybe_unused]] std::string_view name,
-                  [[maybe_unused]] std::int64_t delta = 1) {
-#if AA_OBS_ENABLED
+inline void count(std::string_view name, std::int64_t delta = 1) {
   if (Session* session = Session::current()) session->count(name, delta);
-#endif
 }
 
 /// The request id currently in scope on the calling thread (0 = none).
@@ -171,21 +160,19 @@ void span_ending_now(std::string_view name, double wall_ms);
 /// strictly nested per thread (scopes guarantee this).
 class ScopedPhase {
  public:
-  explicit ScopedPhase([[maybe_unused]] std::string_view name);
+  explicit ScopedPhase(std::string_view name);
   ~ScopedPhase();
 
   ScopedPhase(const ScopedPhase&) = delete;
   ScopedPhase& operator=(const ScopedPhase&) = delete;
 
  private:
-#if AA_OBS_ENABLED
   Session* session_;  ///< Captured at entry; nullptr = disabled.
   std::string name_;
   int depth_ = 0;
   std::uint64_t rid_ = 0;  ///< Request id captured at entry.
   std::chrono::steady_clock::time_point wall_start_;
   double cpu_start_ms_ = 0.0;
-#endif
 };
 
 }  // namespace aa::obs

@@ -4,6 +4,7 @@
 // Supports --key value and --key=value; unknown flags are an error so typos
 // fail loudly. Non-flag tokens are collected as positional arguments.
 
+#include <cstddef>
 #include <map>
 #include <set>
 #include <stdexcept>
@@ -55,6 +56,19 @@ class Args {
                                   long long fallback) const {
     const auto it = flags_.find(key);
     return it == flags_.end() ? fallback : std::stoll(it->second);
+  }
+
+  /// A count (servers, workers, requests, ...): throws
+  /// std::invalid_argument naming the flag on a negative value rather than
+  /// letting it wrap to SIZE_MAX.
+  [[nodiscard]] std::size_t get_count(const std::string& key,
+                                      std::size_t fallback) const {
+    const long long value = get_int(key, static_cast<long long>(fallback));
+    if (value < 0) {
+      throw std::invalid_argument("--" + key + " must be >= 0, got " +
+                                  std::to_string(value));
+    }
+    return static_cast<std::size_t>(value);
   }
 
   [[nodiscard]] const std::vector<std::string>& positional() const noexcept {

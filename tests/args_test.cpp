@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <stdexcept>
+#include <string>
 
 namespace aa::support {
 namespace {
@@ -60,6 +62,33 @@ TEST(Args, MissingValueThrows) {
 TEST(Args, LastOccurrenceWins) {
   const Args args = parse({"--seed", "1", "--seed", "2"}, {"seed"});
   EXPECT_EQ(args.get_int("seed", 0), 2);
+}
+
+TEST(Args, CountFlagRejectsNegative) {
+  const Args args = parse({"--servers", "3", "--workers=-1"},
+                          {"servers", "workers", "shards"});
+  EXPECT_EQ(args.get_count("servers", 2), 3u);
+  EXPECT_EQ(args.get_count("shards", 4), 4u);
+  try {
+    static_cast<void>(args.get_count("workers", 2));
+    FAIL() << "a negative count was accepted";
+  } catch (const std::invalid_argument& error) {
+    EXPECT_NE(std::string(error.what()).find("--workers"), std::string::npos)
+        << error.what();
+  }
+}
+
+TEST(Args, CountFlagAcceptsZero) {
+  const Args args = parse({"--tenants=0", "--connections", "0"},
+                          {"tenants", "connections"});
+  EXPECT_EQ(args.get_count("tenants", 5), 0u);
+  EXPECT_EQ(args.get_count("connections", 1), 0u);
+}
+
+TEST(Args, CountFlagRejectsNonNumeric) {
+  const Args args = parse({"--servers", "two"}, {"servers"});
+  EXPECT_THROW(static_cast<void>(args.get_count("servers", 2)),
+               std::invalid_argument);
 }
 
 }  // namespace

@@ -85,6 +85,16 @@ TEST_F(CliSmoke, GenEmitsAValidInstanceDocument) {
   }
 }
 
+TEST_F(CliSmoke, GenRejectsNegativeServerCount) {
+  const std::string errors = temp_path("gen.err");
+  const CommandResult gen = run_command(
+      std::string(kGen) + " --threads 4 --servers -1 2> " + errors);
+  EXPECT_NE(gen.status, 0);
+  EXPECT_EQ(gen.output, "");
+  EXPECT_NE(slurp(errors).find("--servers"), std::string::npos)
+      << slurp(errors);
+}
+
 TEST_F(CliSmoke, SolveRoundTripsToAValidAssignment) {
   const CommandResult solve =
       run_command(std::string(kSolve) + " " + instance_path_ +

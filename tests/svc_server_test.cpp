@@ -511,6 +511,70 @@ TEST(ServeBinary, SlowRequestIsFollowableByRidAcrossProcesses) {
   }
 }
 
+// A negative count is an input error, not a wrap to SIZE_MAX servers: the
+// process exits 1 naming the flag before it answers any request.
+TEST(ServeBinary, NegativeCountFlagIsRejected) {
+  const std::string error_file = socket_path("negative") + ".err";
+  const CommandResult run = run_command(
+      std::string(R"(printf '{"op": "solve"}\n' | )") + kServe +
+      " --stdio 1 --servers -1 2> " + error_file);
+  const std::string errors = read_file(error_file);
+  std::remove(error_file.c_str());
+  ASSERT_TRUE(WIFEXITED(run.status)) << run.status;
+  EXPECT_EQ(WEXITSTATUS(run.status), 1) << run.output;
+  EXPECT_NE(errors.find("--servers"), std::string::npos) << errors;
+  EXPECT_EQ(run.output, "");
+}
+
+// --max-line-bytes is read in main(), apart from the service config, and
+// gets the same check.
+TEST(ServeBinary, NegativeLineLimitIsRejected) {
+  const std::string error_file = socket_path("negative_line") + ".err";
+  const CommandResult run = run_command(
+      std::string(R"(printf '{"op": "solve"}\n' | )") + kServe +
+      " --stdio 1 --max-line-bytes -1 2> " + error_file);
+  const std::string errors = read_file(error_file);
+  std::remove(error_file.c_str());
+  ASSERT_TRUE(WIFEXITED(run.status)) << run.status;
+  EXPECT_EQ(WEXITSTATUS(run.status), 1) << run.output;
+  EXPECT_NE(errors.find("--max-line-bytes"), std::string::npos) << errors;
+  EXPECT_EQ(run.output, "");
+}
+
+// aa_loadgen rejects a negative count before it connects to anything.
+TEST(ServeBinary, LoadgenRejectsNegativeCount) {
+  const std::string error_file = socket_path("negative_loadgen") + ".err";
+  const CommandResult run =
+      run_command(std::string(kLoadgen) + " --socket " +
+                  socket_path("negative_loadgen") + " --requests -1 2> " +
+                  error_file);
+  const std::string errors = read_file(error_file);
+  std::remove(error_file.c_str());
+  ASSERT_TRUE(WIFEXITED(run.status)) << run.status;
+  EXPECT_EQ(WEXITSTATUS(run.status), 1) << run.output;
+  EXPECT_NE(errors.find("--requests"), std::string::npos) << errors;
+}
+
+// The start event reports the shard count the service runs with, which
+// rounds --shards 0 up to 1, not the raw flag.
+TEST(ServeBinary, StartEventLogsTheServiceShardCount) {
+  const std::string log_file = socket_path("start_event") + ".log";
+  const CommandResult run = run_command(
+      std::string(R"(printf '{"op": "shutdown"}\n' | )") + kServe +
+      " --stdio 1 --shards 0 --log-level info --log-out " + log_file);
+  const std::string log = read_file(log_file);
+  std::remove(log_file.c_str());
+  ASSERT_EQ(run.status, 0) << run.output;
+  bool found = false;
+  for (const std::string& line : lines_of(log)) {
+    const JsonValue event = json_parse(line);
+    if (event.at("event").as_string() != "serve/start") continue;
+    found = true;
+    EXPECT_EQ(event.at("shards").as_int(), 1) << line;
+  }
+  EXPECT_TRUE(found) << log;
+}
+
 TEST(ServeBinary, LoadgenSoakEndsWithZeroFailures) {
   const std::string sock = socket_path("soak");
   // One shell: server in the background, loadgen drives it (including the

@@ -40,8 +40,7 @@ int main(int argc, char** argv) {
     config.dist.theta = args.get_double("theta", 5.0);
     config.dist.mean = args.get_double("mean", 1.0);
     config.dist.stddev = args.get_double("stddev", 1.0);
-    config.num_servers =
-        static_cast<std::size_t>(args.get_int("servers", 8));
+    config.num_servers = args.get_count("servers", 8);
     config.capacity = args.get_int("capacity", 1000);
     const auto threads = static_cast<double>(args.get_int("threads", 40));
     config.beta = threads / static_cast<double>(config.num_servers);

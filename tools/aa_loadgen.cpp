@@ -490,19 +490,16 @@ int main(int argc, char** argv) {
                    "MS] [--json 1] [--slow-ms MS]\n";
       return 2;
     }
-    options.requests = static_cast<std::size_t>(args.get_int("requests", 1000));
-    options.connections =
-        static_cast<std::size_t>(args.get_int("connections", 1));
+    options.requests = args.get_count("requests", 1000);
+    options.connections = args.get_count("connections", 1);
     if (options.connections == 0) options.connections = 1;
-    options.threads_init =
-        static_cast<std::size_t>(args.get_int("threads-init", 8));
-    options.solve_every =
-        static_cast<std::size_t>(args.get_int("solve-every", 8));
+    options.threads_init = args.get_count("threads-init", 8);
+    options.solve_every = args.get_count("solve-every", 8);
     options.capacity = static_cast<util::Resource>(args.get_int("capacity", 64));
     options.seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
     options.deadline_ms = args.get_double("deadline-ms", 0.0);
     options.script_path = args.get("script", "");
-    options.tenants = static_cast<std::size_t>(args.get_int("tenants", 0));
+    options.tenants = args.get_count("tenants", 0);
     options.tenant_skew = args.get_double("tenant-skew", 1.0);
     options.tenant_churn = args.get_int("tenant-churn", 0) != 0;
     options.send_shutdown = args.get_int("shutdown", 0) != 0;

@@ -75,20 +75,19 @@ using namespace aa;
 
 svc::ServiceConfig config_from_args(const support::Args& args) {
   svc::ServiceConfig config;
-  config.num_servers = static_cast<std::size_t>(args.get_int("servers", 2));
+  config.num_servers = args.get_count("servers", 2);
   config.capacity =
       static_cast<util::Resource>(args.get_int("capacity", 64));
-  config.workers = static_cast<std::size_t>(args.get_int("workers", 2));
-  config.batch_max = static_cast<std::size_t>(args.get_int("batch-max", 64));
+  config.workers = args.get_count("workers", 2);
+  config.batch_max = args.get_count("batch-max", 64);
   config.batch_linger_ms = args.get_double("batch-linger-ms", 0.0);
   config.default_deadline_ms = args.get_double("deadline-ms", 0.0);
-  config.max_queue = static_cast<std::size_t>(args.get_int("max-queue", 4096));
+  config.max_queue = args.get_count("max-queue", 4096);
   config.warm.hysteresis = args.get_double("hysteresis", 0.05);
   config.warm.resolve_delta_fraction =
       args.get_double("resolve-fraction", 0.25);
-  config.warm.resolve_delta_min =
-      static_cast<std::size_t>(args.get_int("resolve-min", 8));
-  config.shards = static_cast<std::size_t>(args.get_int("shards", 1));
+  config.warm.resolve_delta_min = args.get_count("resolve-min", 8);
+  config.shards = args.get_count("shards", 1);
   const std::string fairness = args.get("fairness", "static_quota");
   const std::optional<svc::FairnessPolicyKind> kind =
       svc::fairness_policy_from_name(fairness);
@@ -142,9 +141,8 @@ int main(int argc, char** argv) {
     const std::string socket_path = args.get("socket", "");
     const bool stdio =
         args.get_int("stdio", 0) != 0 || socket_path.empty();
-    const std::size_t max_line_bytes = static_cast<std::size_t>(
-        args.get_int("max-line-bytes",
-                     static_cast<long long>(svc::kDefaultMaxLineBytes)));
+    const std::size_t max_line_bytes =
+        args.get_count("max-line-bytes", svc::kDefaultMaxLineBytes);
 
     const std::string metrics_path = args.get("metrics", "");
     const std::string trace_path = args.get("trace-out", "");
@@ -186,7 +184,7 @@ int main(int argc, char** argv) {
       support::JsonValue fields;
       fields.set("transport", stdio ? "stdio" : "socket");
       fields.set("shards",
-                 static_cast<std::int64_t>(args.get_int("shards", 1)));
+                 static_cast<std::int64_t>(service.config().shards));
       obs::log_event(obs::LogLevel::kInfo, obs::metric::kLogServeStart, 0,
                      {}, std::move(fields));
     }
