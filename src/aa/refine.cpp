@@ -1,5 +1,6 @@
 #include "aa/refine.hpp"
 
+#include <span>
 #include <stdexcept>
 #include <vector>
 
@@ -20,12 +21,26 @@ Assignment reoptimize_allocations(const Instance& instance,
     throw std::invalid_argument("reoptimize: assignment size mismatch");
   }
   Assignment out = placement;
-  std::vector<std::vector<std::size_t>> groups(instance.num_servers);
-  for (std::size_t i = 0; i < placement.size(); ++i) {
-    groups.at(placement.server[i]).push_back(i);
+  // Server j's members, in index order, are
+  // members[offsets[j] .. offsets[j + 1]): one counting pass, one fill.
+  const std::size_t m = instance.num_servers;
+  std::vector<std::size_t> offsets(m + 1, 0);
+  for (const std::size_t j : placement.server) {
+    if (j >= m) throw std::out_of_range("reoptimize: server out of range");
+    ++offsets[j + 1];
+  }
+  for (std::size_t j = 0; j < m; ++j) offsets[j + 1] += offsets[j];
+  std::vector<std::size_t> members(placement.size());
+  {
+    std::vector<std::size_t> next(offsets.begin(), offsets.end() - 1);
+    for (std::size_t i = 0; i < placement.size(); ++i) {
+      members[next[placement.server[i]]++] = i;
+    }
   }
   std::int64_t reoptimized = 0;
-  for (const auto& group : groups) {
+  for (std::size_t j = 0; j < m; ++j) {
+    const std::span<const std::size_t> group(members.data() + offsets[j],
+                                             offsets[j + 1] - offsets[j]);
     if (group.empty()) continue;
     ++reoptimized;
     const alloc::AllocationResult result = alloc::allocate_bisection_soa(

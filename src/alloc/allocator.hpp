@@ -31,6 +31,9 @@ struct AllocationResult {
   /// Price-bisection iterations the allocator ran (0 for the oracles and
   /// for the trivial saturate-everyone / nothing-to-allocate cases).
   std::int64_t bisect_iterations = 0;
+  /// Threads that held a utility object an earlier thread of the call
+  /// already held, so the bisection swept them with that thread.
+  std::int64_t shared_threads = 0;
 };
 
 /// Per-thread allocation cap: each thread may receive at most

@@ -1,7 +1,7 @@
 #include "alloc/allocator.hpp"
 
 // The single-pool allocator (docs/ALGORITHMS.md "Single-pool allocator"):
-// a flat-memory threshold bisection on the pool's dual price. Three ideas:
+// a flat-memory threshold bisection on the pool's dual price. Four ideas:
 //
 //  1. Flat marginal grids, packed bisection state. For TabulatedUtility
 //     (the workhorse representation) the marginal is read straight off the
@@ -34,6 +34,15 @@
 //     sweeps skip it entirely. Brackets collapse geometrically, so the
 //     per-iteration cost decays from O(active) toward O(unresolved).
 //
+//  4. Shared utilities swept once. Threads that hold the same utility
+//     object (the generator interns equal draws) answer every probe alike,
+//     so the first one, the leader, is swept with its units weighted by the
+//     number of threads that share it; the later ones, the followers, stay
+//     out of the active list and copy the leader's bracket after the loop.
+//     A 256-slot direct-mapped table spots them in the setup pass; a
+//     follower whose slot was overwritten simply leads its own group, which
+//     is just as exact. Calls without a follower run the unweighted sweep.
+//
 // Apart from the lower start, the lambda schedule is the reference
 // bisection's (same upper end, midpoints, stop rule and plateau constant),
 // and both runs converge to a sliver around the same threshold marginal, so
@@ -42,12 +51,15 @@
 // exactly, not approximately.
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdint>
 #include <functional>
 #include <limits>
 #include <queue>
 #include <stdexcept>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "utility/utility_function.hpp"
@@ -115,6 +127,13 @@ struct Hot {
 /// it (and a single tail pass after the loop handles threads still active).
 enum class Side : std::uint8_t { kNone, kLo, kHi };
 
+/// Slot of `f` in the setup pass's table of recently seen utilities
+/// (Fibonacci hashing of the address).
+[[nodiscard]] std::size_t seen_slot(const util::UtilityFunction* f) {
+  return static_cast<std::size_t>(
+      (reinterpret_cast<std::uintptr_t>(f) * 0x9E3779B97F4A7C15ULL) >> 56);
+}
+
 /// The allocator over n threads, thread k being *at(k). Left-to-right
 /// totals and index-order plateau/greedy tie-breaks match the reference.
 template <typename At>
@@ -122,21 +141,37 @@ AllocationResult run_bisection(std::size_t n, const At& at, Resource pool,
                                Resource per_thread_cap) {
   if (pool < 0) throw std::invalid_argument("allocate: negative pool");
   std::vector<Hot> hot(n);
+  // Idea 4: (follower, leader) pairs, found through the last leader seen
+  // in each slot.
+  std::vector<std::pair<std::size_t, std::size_t>> followers;
+  struct Seen {
+    const util::UtilityFunction* func;
+    std::size_t leader;
+  };
+  std::array<Seen, 256> seen{};
   double max_marginal = 0.0;
   Resource total_cap = 0;
   for (std::size_t i = 0; i < n; ++i) {
     const util::UtilityFunction* f = at(i);
     if (f == nullptr) throw std::invalid_argument("allocate: null utility");
     Hot& h = hot[i];
-    h.func = f;
-    h.grid = f->tabulated_grid();
-    h.cap = std::min(f->capacity(), per_thread_cap);
-    h.mlast = std::numeric_limits<double>::quiet_NaN();
-    h.units_lo = 0;
-    h.units_hi = 0;
-    h.units_mid = 0;
+    Seen& slot = seen[seen_slot(f)];
+    if (slot.func == f) {
+      // The leader's record is still untouched setup state.
+      h = hot[slot.leader];
+      followers.emplace_back(i, slot.leader);
+    } else {
+      slot = {f, i};
+      h.func = f;
+      h.grid = f->tabulated_grid();
+      h.cap = std::min(f->capacity(), per_thread_cap);
+      h.mlast = std::numeric_limits<double>::quiet_NaN();
+      h.units_lo = 0;
+      h.units_hi = 0;
+      h.units_mid = 0;
+      h.m1 = h.cap >= 1 ? marginal_of(h, 1) : 0.0;
+    }
     total_cap += h.cap;
-    h.m1 = h.cap >= 1 ? marginal_of(h, 1) : 0.0;
     max_marginal = std::max(max_marginal, h.m1);
   }
 
@@ -151,7 +186,9 @@ AllocationResult run_bisection(std::size_t n, const At& at, Resource pool,
                    ? h.grid[static_cast<std::size_t>(amounts[i])]
                    : h.func->value(static_cast<double>(amounts[i]));
     }
-    return AllocationResult{std::move(amounts), total};
+    AllocationResult result{std::move(amounts), total};
+    result.shared_threads = static_cast<std::int64_t>(followers.size());
+    return result;
   };
 
   // Trivial cases, mirroring the reference: everyone saturates (still
@@ -183,9 +220,21 @@ AllocationResult run_bisection(std::size_t n, const At& at, Resource pool,
       lo = *nth;
     }
   }
+  // Idea 4: the threads each leader's units stand for; 0 for a follower.
+  std::vector<Resource> weight;
+  if (!followers.empty()) {
+    weight.assign(n, 1);
+    for (const auto& [follower, leader] : followers) {
+      weight[follower] = 0;
+      ++weight[leader];
+    }
+  }
   std::vector<std::size_t> active;
   for (std::size_t i = 0; i < n; ++i) {
-    if (hot[i].m1 > 0.0 && hot[i].m1 >= lo) active.push_back(i);
+    if (hot[i].m1 > 0.0 && hot[i].m1 >= lo &&
+        (weight.empty() || weight[i] > 0)) {
+      active.push_back(i);
+    }
   }
 
   bool lo_exact = false;
@@ -195,8 +244,16 @@ AllocationResult run_bisection(std::size_t n, const At& at, Resource pool,
   // commit into this thread's bracket, then either pins the thread (bracket
   // collapsed: its units are constant for every remaining price, including
   // the final lo/hi — the stored bracket endpoints stay exact) or probes the
-  // narrowed bracket. Returns the exact integer unit count at `mid`.
-  const auto sweep = [&](double mid, Side commit) {
+  // narrowed bracket. Returns the exact integer unit count at `mid`;
+  // `weighted` (a std::bool_constant) counts each leader's followers too.
+  const auto sweep = [&](double mid, Side commit, auto weighted) {
+    const auto times_weight = [&](Resource units, std::size_t i) {
+      if constexpr (decltype(weighted)::value) {
+        return units * weight[i];
+      } else {
+        return units;
+      }
+    };
     Resource count = pinned;
     std::size_t keep = 0;
     const std::size_t live = active.size();
@@ -215,13 +272,14 @@ AllocationResult run_bisection(std::size_t n, const At& at, Resource pool,
       const Resource lb = hi_exact ? h.units_hi : 0;
       const Resource ub = lo_exact ? h.units_lo : h.cap;
       if (lb == ub) {
-        pinned += lb;
-        count += lb;
+        const Resource units = times_weight(lb, i);
+        pinned += units;
+        count += units;
         continue;
       }
       const Resource value = probe(h, mid, lb, ub);
       h.units_mid = value;
-      count += value;
+      count += times_weight(value, i);
       active[keep++] = i;
     }
     active.resize(keep);
@@ -231,19 +289,26 @@ AllocationResult run_bisection(std::size_t n, const At& at, Resource pool,
   double hi = max_marginal * (1.0 + 1e-9) + 1e-300;
   std::int64_t iterations = 0;
   Side pending = Side::kNone;
-  for (int iter = 0; iter < 128 && hi - lo > 1e-15 * (1.0 + hi); ++iter) {
-    const double mid = 0.5 * (lo + hi);
-    const Resource count = sweep(mid, pending);
-    ++iterations;
-    if (count > pool) {
-      lo = mid;
-      lo_exact = true;
-      pending = Side::kLo;
-    } else {
-      hi = mid;
-      hi_exact = true;
-      pending = Side::kHi;
+  const auto bisect = [&](auto weighted) {
+    for (int iter = 0; iter < 128 && hi - lo > 1e-15 * (1.0 + hi); ++iter) {
+      const double mid = 0.5 * (lo + hi);
+      const Resource count = sweep(mid, pending, weighted);
+      ++iterations;
+      if (count > pool) {
+        lo = mid;
+        lo_exact = true;
+        pending = Side::kLo;
+      } else {
+        hi = mid;
+        hi_exact = true;
+        pending = Side::kHi;
+      }
     }
+  };
+  if (followers.empty()) {
+    bisect(std::false_type{});
+  } else {
+    bisect(std::true_type{});
   }
   // Threads still active carry one last uncommitted probe; fold it in so the
   // bracket records describe the final [lo, hi] exactly.
@@ -253,6 +318,13 @@ AllocationResult run_bisection(std::size_t n, const At& at, Resource pool,
     } else if (pending == Side::kHi) {
       hot[i].units_hi = hot[i].units_mid;
     }
+  }
+  // A follower's answers are its leader's at every price.
+  for (const auto& [follower, leader] : followers) {
+    Hot& h = hot[follower];
+    h.units_lo = hot[leader].units_lo;
+    h.units_hi = hot[leader].units_hi;
+    h.mlast = hot[leader].mlast;
   }
 
   Resource assigned = 0;

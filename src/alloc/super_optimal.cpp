@@ -26,6 +26,10 @@ SuperOptimalResult super_optimal(std::span<const util::UtilityPtr> threads,
     obs::count(obs::metric::kSuperOptimalBisectIterations,
                result.bisect_iterations);
   }
+  if (result.shared_threads > 0) {
+    obs::count(obs::metric::kSuperOptimalSharedThreads,
+               result.shared_threads);
+  }
   return {std::move(result.amounts), result.total_utility};
 }
 

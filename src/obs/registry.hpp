@@ -57,6 +57,8 @@ inline constexpr std::string_view kRefineSolves = "refine/solves";
 inline constexpr std::string_view kSuperOptimalBisectIterations =
     "super_optimal/bisect_iterations";
 inline constexpr std::string_view kSuperOptimalCalls = "super_optimal/calls";
+inline constexpr std::string_view kSuperOptimalSharedThreads =
+    "super_optimal/shared_threads";
 inline constexpr std::string_view kSuperOptimalThreads =
     "super_optimal/threads";
 inline constexpr std::string_view kSvcErrors = "svc/errors";
@@ -92,6 +94,7 @@ inline constexpr std::string_view kAllCounters[] = {
     kRefineSolves,
     kSuperOptimalBisectIterations,
     kSuperOptimalCalls,
+    kSuperOptimalSharedThreads,
     kSuperOptimalThreads,
     kSvcErrors,
     kSvcFreshCandidates,

@@ -26,7 +26,10 @@ namespace aa::util {
     Resource capacity, const support::DistributionParams& dist,
     support::Rng& rng);
 
-/// Generates a set of `count` independent utility functions.
+/// Generates a set of `count` independent utility functions: the same
+/// draws, in the same rng order, as `count` calls of generate_utility.
+/// Equal draws share one UtilityPtr (the discrete distribution's 10^4
+/// threads hold 3 grids), so the allocator sweeps them as one.
 [[nodiscard]] std::vector<UtilityPtr> generate_utilities(
     std::size_t count, Resource capacity,
     const support::DistributionParams& dist, support::Rng& rng);

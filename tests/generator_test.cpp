@@ -4,6 +4,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <set>
+#include <span>
+#include <stdexcept>
+#include <utility>
+#include <vector>
+
 #include "support/stats.hpp"
 #include "utility/utility_function.hpp"
 
@@ -84,6 +92,52 @@ TEST(Generator, BatchGeneratesIndependentFunctions) {
     if (batch[i]->value(50.0) != batch[0]->value(50.0)) ++distinct;
   }
   EXPECT_GT(distinct, 0);
+}
+
+TEST(Generator, InternsEqualDraws) {
+  // The batch holds generate_utility's grids, drawn from the same rng
+  // stream, and threads with equal draws share one object.
+  for (const DistributionKind kind :
+       {DistributionKind::kDiscrete, DistributionKind::kUniform}) {
+    DistributionParams dist;
+    dist.kind = kind;
+    support::Rng batch_rng(201);
+    support::Rng single_rng(201);
+    support::Rng draw_rng(201);
+    const std::vector<UtilityPtr> batch =
+        generate_utilities(10'000, 1000, dist, batch_rng);
+    ASSERT_EQ(batch.size(), 10'000u);
+    std::map<std::pair<double, double>, const UtilityFunction*> by_draw;
+    std::set<const UtilityFunction*> objects;
+    for (const UtilityPtr& f : batch) {
+      const UtilityPtr single = generate_utility(1000, dist, single_rng);
+      const std::span<const double> expected =
+          dynamic_cast<const TabulatedUtility&>(*single).grid();
+      const std::span<const double> got =
+          dynamic_cast<const TabulatedUtility&>(*f).grid();
+      ASSERT_TRUE(std::equal(got.begin(), got.end(), expected.begin(),
+                             expected.end()));
+      const auto it =
+          by_draw.emplace(support::draw_ordered_pair(dist, draw_rng), f.get())
+              .first;
+      ASSERT_EQ(it->second, f.get());
+      objects.insert(f.get());
+    }
+    EXPECT_EQ(objects.size(), by_draw.size());
+    if (kind == DistributionKind::kDiscrete) {
+      EXPECT_LE(objects.size(), 3u);
+    } else {
+      EXPECT_EQ(objects.size(), batch.size());
+    }
+  }
+}
+
+TEST(Generator, EmptyBatchSkipsTheCapacityCheck) {
+  support::Rng rng(13);
+  DistributionParams dist;
+  EXPECT_TRUE(generate_utilities(0, 1, dist, rng).empty());
+  EXPECT_THROW((void)generate_utilities(3, 1, dist, rng),
+               std::invalid_argument);
 }
 
 TEST(Generator, DiscreteDistThetaControlsSpread) {

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -44,6 +45,15 @@ TEST(Reoptimize, NeverDecreasesUtilityAndStaysValid) {
     ASSERT_GE(total_utility(instance, after),
               total_utility(instance, before) - 1e-9);
   }
+}
+
+TEST(Reoptimize, RejectsOutOfRangeServer) {
+  const Instance instance = generated_instance(6, 3, 40, 2);
+  Assignment placement;
+  placement.server = {0, 1, 2, 3, 0, 1};
+  placement.alloc.assign(6, 0.0);
+  EXPECT_THROW((void)reoptimize_allocations(instance, placement),
+               std::out_of_range);
 }
 
 TEST(Reoptimize, FixedPointOnAlreadyOptimalAllocations) {

@@ -17,6 +17,11 @@
 // positive first marginal, zero capacity, capacity starvation,
 // single-thread shapes, and non-tabulated utilities that miss the raw-grid
 // fast path (scaled/analytic families).
+//
+// Threads that share one utility object are swept once, weighted by how
+// many share it. The interned cases below compare such inputs with a deep
+// copy in which every thread owns its grid: amounts, total and
+// bisect_iterations must all be equal.
 
 #include <gtest/gtest.h>
 
@@ -29,6 +34,8 @@
 #include "alloc/allocator.hpp"
 #include "alloc/oracle.hpp"
 #include "alloc/super_optimal.hpp"
+#include "obs/registry.hpp"
+#include "obs/session.hpp"
 #include "support/distributions.hpp"
 #include "support/prng.hpp"
 #include "utility/generator.hpp"
@@ -78,6 +85,38 @@ UtilityPtr from_marginals(const std::vector<double>& marginals) {
   std::vector<double> values{0.0};
   for (const double m : marginals) values.push_back(values.back() + m);
   return std::make_shared<const util::TabulatedUtility>(std::move(values));
+}
+
+/// Every thread given its own copy of its (tabulated) utility, so that no
+/// two threads share an object.
+std::vector<UtilityPtr> deep_copy(const std::vector<UtilityPtr>& threads) {
+  std::vector<UtilityPtr> out;
+  out.reserve(threads.size());
+  for (const UtilityPtr& f : threads) {
+    out.push_back(std::make_shared<const util::TabulatedUtility>(
+        dynamic_cast<const util::TabulatedUtility&>(*f)));
+  }
+  return out;
+}
+
+/// Asserts that `a` (shared objects) and `b` (its deep copy) give the same
+/// run, iteration count included; returns `a`'s shared-thread count.
+std::int64_t expect_same_run(const alloc::AllocationResult& a,
+                             const alloc::AllocationResult& b) {
+  EXPECT_EQ(a.amounts, b.amounts);
+  EXPECT_EQ(a.total_utility, b.total_utility);
+  EXPECT_EQ(a.bisect_iterations, b.bisect_iterations);
+  EXPECT_EQ(b.shared_threads, 0);
+  return a.shared_threads;
+}
+
+/// The interned input against its deep copy at (pool, cap).
+std::int64_t expect_interned_identical(const std::vector<UtilityPtr>& threads,
+                                       Resource pool, Resource cap) {
+  SCOPED_TRACE("pool=" + std::to_string(pool) + " cap=" + std::to_string(cap));
+  return expect_same_run(
+      alloc::allocate_bisection_soa(threads, pool, cap),
+      alloc::allocate_bisection_soa(deep_copy(threads), pool, cap));
 }
 
 const support::DistributionKind kKinds[] = {
@@ -335,6 +374,96 @@ TEST(SuperOptimalEquivalence, NegativeCapacityThrowsOnEveryPath) {
   const std::vector<UtilityPtr> with_null{threads[0], nullptr};
   EXPECT_THROW((void)alloc::allocate_bisection_soa(with_null, 4),
                std::invalid_argument);
+}
+
+TEST(SuperOptimalEquivalence, InternedDiscreteInstanceMatchesItsDeepCopy) {
+  // The batch benchmark's discrete instance: 10^4 threads over 3 distinct
+  // utilities, as super-optimal (pool = m*C) and through the member-list
+  // overload at the refine shape (pool = cap = C), on one server's share
+  // and on a server that holds every thread.
+  const std::vector<UtilityPtr> interned =
+      generated(support::DistributionKind::kDiscrete, 10'000, 1000, 5);
+  const std::vector<UtilityPtr> owned = deep_copy(interned);
+  EXPECT_EQ(expect_interned_identical(interned, 8000, 1000), 10'000 - 3);
+
+  obs::Session session;
+  const alloc::SuperOptimalResult so = alloc::super_optimal(interned, 8, 1000);
+  const alloc::SuperOptimalResult so_owned =
+      alloc::super_optimal(owned, 8, 1000);
+  EXPECT_EQ(so.c_hat, so_owned.c_hat);
+  EXPECT_EQ(so.utility, so_owned.utility);
+  EXPECT_EQ(session.metrics().counter(obs::metric::kSuperOptimalSharedThreads),
+            10'000 - 3);
+
+  for (const std::size_t stride : {8UL, 1UL}) {
+    SCOPED_TRACE("stride=" + std::to_string(stride));
+    std::vector<std::size_t> members;
+    for (std::size_t i = 3; i < interned.size(); i += stride) {
+      members.push_back(i);
+    }
+    EXPECT_GT(expect_same_run(
+                  alloc::allocate_bisection_soa(interned, members, 1000, 1000),
+                  alloc::allocate_bisection_soa(owned, members, 1000, 1000)),
+              0);
+  }
+}
+
+TEST(SuperOptimalEquivalence, MoreDistinctUtilitiesThanTableSlots) {
+  // 600 distinct utilities against 256 table slots: first each twice in a
+  // row (every repeat found), then once more round robin, where at most 256
+  // of the 600 still own their slot, so at least 344 repeats lead anew.
+  const std::vector<UtilityPtr> distinct =
+      generated(support::DistributionKind::kUniform, 600, 40, 14);
+  std::vector<UtilityPtr> threads;
+  for (const UtilityPtr& f : distinct) {
+    threads.push_back(f);
+    threads.push_back(f);
+  }
+  threads.insert(threads.end(), distinct.begin(), distinct.end());
+  const auto n = static_cast<std::int64_t>(threads.size());
+  for (const Resource pool : {40L, 1000L, 8L * 40L * 4L, 30'000L}) {
+    const std::int64_t shared = expect_interned_identical(threads, pool, 40);
+    EXPECT_GE(shared, 600);
+    EXPECT_LE(shared, n - 600 - 344);
+  }
+}
+
+TEST(SuperOptimalEquivalence, FollowersOfALeaderBelowTheStartPrice) {
+  // 12 distinct steep utilities outbid one shallow utility that 30 threads
+  // share, so for pools up to 11 the start price leaves the shared group
+  // (leader and followers alike) out of every sweep; larger pools bring it
+  // back into play.
+  std::vector<UtilityPtr> threads;
+  const UtilityPtr shallow = from_marginals({0.1, 0.05, 0.05, 0.01});
+  for (std::size_t k = 0; k < 12; ++k) {
+    const double top = 1.0 + 0.01 * static_cast<double>(k);
+    threads.push_back(from_marginals({top, 0.5, 0.2, 0.0}));
+    for (int r = 0; r < 3; ++r) threads.push_back(shallow);
+  }
+  for (int r = 0; r < 6; ++r) threads.push_back(shallow);
+  for (const Resource pool : {1L, 5L, 10L, 11L, 12L, 30L, 47L, 60L, 100L}) {
+    EXPECT_EQ(expect_interned_identical(threads, pool, 4), 41);
+    expect_pool_identical(threads, pool, 4);
+  }
+}
+
+TEST(SuperOptimalEquivalence, AllSharedSaturatedAndEmptyPools) {
+  // One object for every thread: the saturate-everyone case (pool at or
+  // above the summed caps), the zero pool, and a flat utility that leaves
+  // nothing worth allocating.
+  support::DistributionParams dist;
+  support::Rng rng(41);
+  const std::vector<UtilityPtr> threads(
+      64, util::generate_utility(25, dist, rng));
+  for (const Resource pool : {0L, 64L * 25L, 64L * 25L + 1L, 100'000L}) {
+    EXPECT_EQ(expect_interned_identical(threads, pool, 25), 63);
+  }
+  EXPECT_EQ(expect_interned_identical(threads, 0, alloc::kNoCap), 63);
+  const std::vector<UtilityPtr> flat(
+      10, from_marginals({0.0, 0.0, 0.0}));
+  for (const Resource pool : {0L, 5L, 30L}) {
+    EXPECT_EQ(expect_interned_identical(flat, pool, 3), 9);
+  }
 }
 
 }  // namespace

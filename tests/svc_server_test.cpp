@@ -178,7 +178,7 @@ TEST_F(SocketFixture, RepliesCarryRidsOverTheSocket) {
   LineChannel a(fd_a.get(), kDefaultMaxLineBytes);
   LineChannel b(fd_b.get(), kDefaultMaxLineBytes);
   std::set<std::int64_t> rids;
-  for (const std::string line :
+  for (const std::string& line :
        {std::string(kAddPower), std::string(R"({"op": "solve"})"),
         std::string(R"({"op": "bogus"})")}) {
     for (LineChannel* channel : {&a, &b}) {

@@ -139,7 +139,9 @@ std::string mask_source(const std::string& raw) {
               (i < 2 || !is_ident_char(raw[i - 2]))) {
             std::size_t open = raw.find('(', i + 1);
             if (open == std::string::npos) break;  // Malformed; give up.
-            raw_delim = ")" + raw.substr(i + 1, open - i - 1) + "\"";
+            raw_delim = std::string(")")
+                            .append(raw, i + 1, open - i - 1)
+                            .append("\"");
             state = State::kRawString;
           } else {
             state = State::kString;
