@@ -54,8 +54,7 @@ Accumulator run_beta(double beta, std::size_t trials) {
 
         auto evaluate = [&](const core::Algorithm2Options& options) {
           return core::total_utility(
-              instance,
-              core::assign_algorithm2_with_options(instance, lin, options));
+              instance, core::assign_algorithm2(instance, lin, options));
         };
 
         Accumulator& acc = partial[t];

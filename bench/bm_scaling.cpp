@@ -4,7 +4,9 @@
 //                in n. The shipped incremental rounds choose the same pairs
 //                in O(n log n + (n + m) m), near-linear at m = 8.
 //   Algorithm 2: O(n (log mC)^2) — near-linear in n (dominated by the
-//                super-optimal allocation).
+//                super-optimal allocation). Its assignment phase alone
+//                (BM_Algorithm2Assign_N10k) is O(n + k log k + k log m),
+//                k the threads with c_hat > 0 or a nonzero peak.
 // The super-optimal allocator is also timed alone: heap greedy
 // O((n + mC) log n) against the bisection O(n (log mC)^2) across C, the
 // bisection across n = 10^3..10^6 (m = 8), and per server as the refine
@@ -148,6 +150,25 @@ void BM_Refine_N10k(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Refine_N10k)->Unit(benchmark::kMillisecond);
+
+// Algorithm 2's assignment phase alone on the same threads, linearization
+// computed once outside the loop. Both sorts and the heap touch only the
+// threads with a nonzero key; most of the 10^4 threads have c_hat = 0.
+void BM_Algorithm2Assign_N10k(benchmark::State& state) {
+  aa::core::Instance instance;
+  instance.num_servers = 8;
+  instance.capacity = 1000;
+  instance.threads = allocator_threads(10'000, instance.capacity);
+  const aa::alloc::SuperOptimalResult so = aa::alloc::super_optimal(
+      instance.threads, instance.num_servers, instance.capacity);
+  const std::vector<aa::util::Linearized> linearized =
+      aa::util::linearize(instance.threads, so.c_hat);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        aa::core::assign_algorithm2(instance, linearized));
+  }
+}
+BENCHMARK(BM_Algorithm2Assign_N10k)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 

@@ -12,29 +12,6 @@
 
 namespace aa::core {
 
-namespace {
-
-/// Computes F, G and packages a SolveResult for an assignment built on the
-/// given linearization. Shared with algorithm2.cpp via solve_pipeline.hpp?
-/// Kept local: each algorithm file is self-contained and tiny.
-SolveResult package(const Instance& instance, Assignment assignment,
-                    std::span<const util::Linearized> linearized,
-                    std::vector<Resource> c_hat, double f_hat) {
-  SolveResult result;
-  result.utility = total_utility(instance, assignment);
-  double g_total = 0.0;
-  for (std::size_t i = 0; i < assignment.size(); ++i) {
-    g_total += linearized[i].value(assignment.alloc[i]);
-  }
-  result.linearized_utility = g_total;
-  result.super_optimal_utility = f_hat;
-  result.c_hat = std::move(c_hat);
-  result.assignment = std::move(assignment);
-  return result;
-}
-
-}  // namespace
-
 Assignment assign_algorithm1_reference(
     const Instance& instance, std::span<const util::Linearized> linearized) {
   const std::size_t n = instance.num_threads();
@@ -252,8 +229,10 @@ SolveResult solve_algorithm1(const Instance& instance) {
     linearized = util::linearize(instance.threads, so.c_hat);
   }
   Assignment assignment = assign_algorithm1(instance, linearized);
-  SolveResult result = package(instance, std::move(assignment), linearized,
-                               std::move(so.c_hat), so.utility);
+  const double utility = total_utility(instance, assignment);
+  SolveResult result =
+      make_solve_result(utility, std::move(assignment), linearized,
+                        std::move(so.c_hat), so.utility);
   certify_and_record(instance, result, "algorithm1");
   return result;
 }

@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <numeric>
-#include <queue>
 #include <sstream>
 #include <stdexcept>
 
+#include "aa/algorithm2.hpp"
 #include "alloc/allocator.hpp"
 #include "utility/linearized.hpp"
 
@@ -85,8 +85,6 @@ std::string check_assignment(const HeteroInstance& instance,
 
 SolveResult solve_algorithm2_hetero(const HeteroInstance& instance) {
   instance.validate();
-  const std::size_t n = instance.num_threads();
-  const std::size_t m = instance.num_servers();
 
   // Pooled super-optimal bound: sum of allocations <= total capacity, each
   // thread bounded by the largest single server it could land on.
@@ -95,51 +93,10 @@ SolveResult solve_algorithm2_hetero(const HeteroInstance& instance) {
   const std::vector<util::Linearized> linearized =
       util::linearize(instance.threads, so.amounts);
 
-  std::vector<std::size_t> order(n);
-  std::iota(order.begin(), order.end(), 0);
-  std::stable_sort(order.begin(), order.end(),
-                   [&](std::size_t a, std::size_t b) {
-                     return linearized[a].peak > linearized[b].peak;
-                   });
-  if (n > m) {
-    std::stable_sort(order.begin() + static_cast<std::ptrdiff_t>(m),
-                     order.end(), [&](std::size_t a, std::size_t b) {
-                       return linearized[a].density() > linearized[b].density();
-                     });
-  }
-
-  using HeapEntry = std::pair<Resource, std::size_t>;
-  auto cmp = [](const HeapEntry& a, const HeapEntry& b) {
-    if (a.first != b.first) return a.first < b.first;
-    return a.second > b.second;
-  };
-  std::priority_queue<HeapEntry, std::vector<HeapEntry>, decltype(cmp)> heap(
-      cmp);
-  for (std::size_t j = 0; j < m; ++j) heap.push({instance.capacities[j], j});
-
-  Assignment assignment;
-  assignment.server.assign(n, 0);
-  assignment.alloc.assign(n, 0.0);
-  for (const std::size_t i : order) {
-    const auto [remaining, j] = heap.top();
-    heap.pop();
-    const Resource granted = std::min(linearized[i].cap, remaining);
-    assignment.server[i] = j;
-    assignment.alloc[i] = static_cast<double>(granted);
-    heap.push({remaining - granted, j});
-  }
-
-  SolveResult result;
-  result.utility = total_utility(instance, assignment);
-  double g_total = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    g_total += linearized[i].value(assignment.alloc[i]);
-  }
-  result.linearized_utility = g_total;
-  result.super_optimal_utility = so.total_utility;
-  result.c_hat = so.amounts;
-  result.assignment = std::move(assignment);
-  return result;
+  Assignment assignment = place_algorithm2(linearized, instance.capacities);
+  const double utility = total_utility(instance, assignment);
+  return make_solve_result(utility, std::move(assignment), linearized,
+                           so.amounts, so.total_utility);
 }
 
 Assignment heuristic_uu_hetero(const HeteroInstance& instance) {

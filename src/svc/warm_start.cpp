@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <numeric>
 #include <utility>
 
 #include "aa/algorithm2.hpp"
@@ -28,21 +27,6 @@ constexpr std::size_t kNoServer = static_cast<std::size_t>(-1);
 /// Relative slack on F_hat when ruling the fresh candidate out: covers the
 /// rounding of the two utility sums, far below any hysteresis in use.
 constexpr double kFreshBoundSlack = 1e-9;
-
-/// Orders thread indices by nonincreasing linearized peak (Algorithm 2's
-/// primary sort), ties broken by position for determinism.
-std::vector<std::size_t> peak_order(
-    const std::vector<util::Linearized>& linearized) {
-  std::vector<std::size_t> order(linearized.size());
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    if (linearized[a].peak != linearized[b].peak) {
-      return linearized[a].peak > linearized[b].peak;
-    }
-    return a < b;
-  });
-  return order;
-}
 
 double linearized_total(const std::vector<util::Linearized>& linearized,
                         const core::Assignment& assignment) {
@@ -73,7 +57,7 @@ core::Assignment pin_previous(const core::Instance& instance,
     remaining[server] -= give;
   };
   std::vector<std::size_t> arrivals;  // New threads, still in peak order.
-  for (const std::size_t index : peak_order(linearized)) {
+  for (const std::size_t index : core::peak_order(linearized)) {
     if (previous[index] == kNoServer) {
       arrivals.push_back(index);
     } else {

@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <stdexcept>
+#include <vector>
 
 #include "aa/exact.hpp"
 #include "aa/solve_result.hpp"
@@ -158,12 +160,24 @@ TEST(Algorithm2Options, DisablingSortsDegradesOrMatches) {
   Algorithm2Options no_sort;
   no_sort.sort_by_peak = false;
   no_sort.resort_tail_by_density = false;
-  const Assignment degraded =
-      assign_algorithm2_with_options(instance, linearized, no_sort);
+  const Assignment degraded = assign_algorithm2(instance, linearized, no_sort);
   EXPECT_EQ(check_assignment(instance, degraded), "");
   // Unsorted assignment can never beat the full algorithm by more than
   // noise on this heavy-tailed workload (and typically loses).
   EXPECT_LE(total_utility(instance, degraded), full.utility + 1e-9);
+}
+
+// With no server to be the fullest, the assignment rejects the instance as
+// Instance::validate does, rather than reading the top of an empty heap.
+TEST(Algorithm2, ThreadsWithoutServersAreRejected) {
+  Instance instance;
+  instance.num_servers = 0;
+  instance.capacity = 10;
+  instance.threads.push_back(
+      std::make_shared<CappedLinearUtility>(1.0, 5.0, 10));
+  const std::vector<util::Linearized> linearized = {{5, 5.0}};
+  EXPECT_THROW((void)assign_algorithm2(instance, linearized),
+               std::invalid_argument);
 }
 
 TEST(Algorithm2, DeterministicAcrossRuns) {
