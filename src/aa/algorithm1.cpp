@@ -6,7 +6,7 @@
 #include <vector>
 
 #include "aa/certify.hpp"
-#include "alloc/super_optimal.hpp"
+#include "aa/pipeline.hpp"
 #include "obs/registry.hpp"
 #include "obs/session.hpp"
 
@@ -220,19 +220,10 @@ Assignment assign_algorithm1(const Instance& instance,
 SolveResult solve_algorithm1(const Instance& instance) {
   const obs::ScopedPhase obs_phase(obs::metric::kPhaseAlg1Solve);
   obs::count(obs::metric::kAlg1Solves);
-  instance.validate();
-  alloc::SuperOptimalResult so = alloc::super_optimal(
-      instance.threads, instance.num_servers, instance.capacity);
-  std::vector<util::Linearized> linearized;
-  {
-    const obs::ScopedPhase linearize_phase(obs::metric::kPhaseLinearize);
-    linearized = util::linearize(instance.threads, so.c_hat);
-  }
-  Assignment assignment = assign_algorithm1(instance, linearized);
-  const double utility = total_utility(instance, assignment);
+  Relaxation relaxed = relax(instance);
   SolveResult result =
-      make_solve_result(utility, std::move(assignment), linearized,
-                        std::move(so.c_hat), so.utility);
+      finish(instance, assign_algorithm1(instance, relaxed.linearized),
+             relaxed.linearized, std::move(relaxed.c_hat), relaxed.f_hat);
   certify_and_record(instance, result, "algorithm1");
   return result;
 }

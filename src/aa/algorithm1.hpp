@@ -25,6 +25,7 @@
 #include <span>
 
 #include "aa/solve_result.hpp"
+#include "utility/linearized.hpp"
 
 namespace aa::core {
 

@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "aa/solve_result.hpp"
+#include "utility/linearized.hpp"
 
 namespace aa::core {
 

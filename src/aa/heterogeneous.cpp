@@ -6,6 +6,7 @@
 #include <stdexcept>
 
 #include "aa/algorithm2.hpp"
+#include "aa/pipeline.hpp"
 #include "alloc/allocator.hpp"
 #include "utility/linearized.hpp"
 
@@ -93,13 +94,12 @@ SolveResult solve_algorithm2_hetero(const HeteroInstance& instance) {
   const std::vector<util::Linearized> linearized =
       util::linearize(instance.threads, so.amounts);
 
-  Assignment assignment = place_algorithm2(linearized, instance.capacities);
-  const double utility = total_utility(instance, assignment);
-  return make_solve_result(utility, std::move(assignment), linearized,
-                           so.amounts, so.total_utility);
+  return finish(instance, place_algorithm2(linearized, instance.capacities),
+                linearized, so.amounts, so.total_utility);
 }
 
 Assignment heuristic_uu_hetero(const HeteroInstance& instance) {
+  instance.validate();
   const std::size_t n = instance.num_threads();
   const std::size_t m = instance.num_servers();
   Assignment out;

@@ -75,21 +75,25 @@ std::vector<std::size_t> random_servers(const Instance& instance,
 
 Assignment heuristic_uu(const Instance& instance) {
   obs::count(obs::metric::kHeuristicsUuSolves);
+  instance.validate();
   return finish_uniform(instance, round_robin(instance));
 }
 
 Assignment heuristic_ur(const Instance& instance, support::Rng& rng) {
   obs::count(obs::metric::kHeuristicsUrSolves);
+  instance.validate();
   return finish_random(instance, round_robin(instance), rng);
 }
 
 Assignment heuristic_ru(const Instance& instance, support::Rng& rng) {
   obs::count(obs::metric::kHeuristicsRuSolves);
+  instance.validate();
   return finish_uniform(instance, random_servers(instance, rng));
 }
 
 Assignment heuristic_rr(const Instance& instance, support::Rng& rng) {
   obs::count(obs::metric::kHeuristicsRrSolves);
+  instance.validate();
   return finish_random(instance, random_servers(instance, rng), rng);
 }
 

@@ -32,6 +32,26 @@ Instance scaled_instance(const Instance& base,
 
 }  // namespace
 
+PolicyStep policy_step(OnlinePolicy policy, const Instance& instance,
+                       const Assignment& current, const SolveResult& fresh,
+                       double hysteresis) {
+  if (current.size() == 0) return {fresh.assignment, fresh.utility, 0};
+  if (policy == OnlinePolicy::kStatic) {  // Frozen epoch-0 placement.
+    return {current, total_utility(instance, current), 0};
+  }
+  if (policy == OnlinePolicy::kSticky) {
+    // Re-allocate within servers for free; migrate only when the fresh
+    // solution wins by more than the hysteresis.
+    Assignment retuned = reoptimize_allocations(instance, current);
+    const double retained = total_utility(instance, retuned);
+    if (!sticky_should_migrate(fresh.utility, retained, hysteresis)) {
+      return {std::move(retuned), retained, 0};
+    }
+  }
+  return {fresh.assignment, fresh.utility,
+          count_migrations(current, fresh.assignment)};
+}
+
 OnlineResult run_online(const Instance& base, OnlinePolicy policy,
                         const OnlineConfig& config, support::Rng& rng) {
   base.validate();
@@ -40,8 +60,6 @@ OnlineResult run_online(const Instance& base, OnlinePolicy policy,
 
   OnlineResult result;
   Assignment current;  // Placement carried across epochs.
-  bool have_current = false;
-
   for (std::size_t epoch = 0; epoch < config.epochs; ++epoch) {
     if (epoch > 0) {
       for (double& f : factors) {
@@ -52,40 +70,11 @@ OnlineResult run_online(const Instance& base, OnlinePolicy policy,
     const Instance instance = scaled_instance(base, factors);
     const SolveResult fresh = solve_algorithm2_refined(instance);
     result.oracle_utility += fresh.utility;
-
-    if (!have_current) {
-      current = fresh.assignment;
-      have_current = true;
-      result.total_utility += fresh.utility;
-      continue;
-    }
-
-    switch (policy) {
-      case OnlinePolicy::kStatic: {
-        // Frozen epoch-0 assignment and allocations.
-        result.total_utility += total_utility(instance, current);
-        break;
-      }
-      case OnlinePolicy::kResolve: {
-        result.migrations += count_migrations(current, fresh.assignment);
-        current = fresh.assignment;
-        result.total_utility += fresh.utility;
-        break;
-      }
-      case OnlinePolicy::kSticky: {
-        const Assignment retuned = reoptimize_allocations(instance, current);
-        const double retained = total_utility(instance, retuned);
-        if (sticky_should_migrate(fresh.utility, retained, config.hysteresis)) {
-          result.migrations += count_migrations(current, fresh.assignment);
-          current = fresh.assignment;
-          result.total_utility += fresh.utility;
-        } else {
-          current = retuned;
-          result.total_utility += retained;
-        }
-        break;
-      }
-    }
+    PolicyStep step =
+        policy_step(policy, instance, current, fresh, config.hysteresis);
+    result.total_utility += step.utility;
+    result.migrations += step.migrations;
+    current = std::move(step.placement);
   }
   return result;
 }

@@ -23,6 +23,7 @@
 #include <cstddef>
 
 #include "aa/problem.hpp"
+#include "aa/solve_result.hpp"
 #include "support/prng.hpp"
 
 namespace aa::core {
@@ -61,6 +62,22 @@ struct OnlineResult {
     double fresh_utility, double retained_utility, double hysteresis) noexcept {
   return fresh_utility > retained_utility * (1.0 + hysteresis);
 }
+
+/// One epoch of `policy`: the placement held from now on, its utility on
+/// `instance`, and the threads that moved to reach it. `fresh` is this
+/// epoch's refined Algorithm 2 solution; an empty `current` (the first
+/// epoch) adopts it under every policy. Shared with the phased cache
+/// simulation (cachesim/phased.hpp).
+struct PolicyStep {
+  Assignment placement;
+  double utility = 0.0;
+  std::size_t migrations = 0;
+};
+[[nodiscard]] PolicyStep policy_step(OnlinePolicy policy,
+                                     const Instance& instance,
+                                     const Assignment& current,
+                                     const SolveResult& fresh,
+                                     double hysteresis);
 
 /// Simulates `config.epochs` epochs of drift on the given base instance and
 /// returns the aggregate metrics for the chosen policy. The drift sequence

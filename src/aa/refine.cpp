@@ -7,6 +7,7 @@
 #include "aa/algorithm1.hpp"
 #include "aa/algorithm2.hpp"
 #include "aa/certify.hpp"
+#include "aa/pipeline.hpp"
 #include "alloc/allocator.hpp"
 #include "obs/registry.hpp"
 #include "obs/session.hpp"
@@ -53,32 +54,18 @@ Assignment reoptimize_allocations(const Instance& instance,
   return out;
 }
 
-namespace {
-
-SolveResult refined(const Instance& instance, SolveResult raw,
-                    std::string_view solver) {
-  obs::count(obs::metric::kRefineSolves);
-  Assignment better = reoptimize_allocations(instance, raw.assignment);
-  const double better_utility = total_utility(instance, better);
-  // Guaranteed non-decreasing, but guard against pathological float drift.
-  if (better_utility >= raw.utility) {
-    raw.assignment = std::move(better);
-    raw.utility = better_utility;
-  }
-  certify_and_record(instance, raw, solver);
-  return raw;
-}
-
-}  // namespace
-
 SolveResult solve_algorithm2_refined(const Instance& instance) {
   const obs::ScopedPhase obs_phase(obs::metric::kPhaseAlg2SolveRefined);
-  return refined(instance, solve_algorithm2(instance), "algorithm2_refined");
+  SolveResult result = refine(instance, solve_algorithm2(instance));
+  certify_and_record(instance, result, "algorithm2_refined");
+  return result;
 }
 
 SolveResult solve_algorithm1_refined(const Instance& instance) {
   const obs::ScopedPhase obs_phase(obs::metric::kPhaseAlg1SolveRefined);
-  return refined(instance, solve_algorithm1(instance), "algorithm1_refined");
+  SolveResult result = refine(instance, solve_algorithm1(instance));
+  certify_and_record(instance, result, "algorithm1_refined");
+  return result;
 }
 
 }  // namespace aa::core

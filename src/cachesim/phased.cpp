@@ -43,43 +43,17 @@ PhasedResult simulate_phased(const Machine& machine,
 
   PhasedResult result;
   core::Assignment current;
-  bool have_current = false;
-
   for (std::size_t epoch = 0; epoch < epochs; ++epoch) {
     const core::Instance instance = epoch_instance(machine, threads, epoch);
     const core::SolveResult fresh =
         core::solve_algorithm2_refined(instance);
     result.oracle_ipc += measure_epoch(threads, epoch, fresh.assignment);
-
-    if (!have_current) {
-      current = fresh.assignment;
-      have_current = true;
-      result.achieved_ipc += measure_epoch(threads, epoch, current);
-      continue;
-    }
-
-    switch (policy) {
-      case core::OnlinePolicy::kStatic:
-        break;  // Never adapt.
-      case core::OnlinePolicy::kResolve:
-        result.migrations += core::count_migrations(current, fresh.assignment);
-        current = fresh.assignment;
-        break;
-      case core::OnlinePolicy::kSticky: {
-        // Re-partition ways within sockets for free; migrate only when the
-        // fresh solve wins by the hysteresis margin on the model utility.
-        const core::Assignment retuned =
-            core::reoptimize_allocations(instance, current);
-        const double retained = core::total_utility(instance, retuned);
-        if (fresh.utility > retained * (1.0 + hysteresis)) {
-          result.migrations += core::count_migrations(current, fresh.assignment);
-          current = fresh.assignment;
-        } else {
-          current = retuned;
-        }
-        break;
-      }
-    }
+    // Migration is judged on the model utility, throughput on the raw
+    // miss curve of the active phase.
+    core::PolicyStep step =
+        core::policy_step(policy, instance, current, fresh, hysteresis);
+    result.migrations += step.migrations;
+    current = std::move(step.placement);
     result.achieved_ipc += measure_epoch(threads, epoch, current);
   }
   return result;

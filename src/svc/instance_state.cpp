@@ -1,5 +1,6 @@
 #include "svc/instance_state.hpp"
 
+#include <cmath>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -43,6 +44,15 @@ void InstanceState::require_domain(const util::UtilityPtr& utility) const {
         std::to_string(utility->capacity()) +
         " does not cover the server capacity " + std::to_string(capacity_));
   }
+  require_finite(*utility);
+}
+
+void InstanceState::require_finite(const util::UtilityFunction& utility) const {
+  // Nondecreasing utilities peak at C: a finite f(C) bounds every value.
+  if (!std::isfinite(utility.value(static_cast<double>(capacity_)))) {
+    throw std::invalid_argument("InstanceState: utility at the capacity " +
+                                std::to_string(capacity_) + " is not finite");
+  }
 }
 
 ThreadId InstanceState::add_thread(util::UtilityPtr utility) {
@@ -84,8 +94,10 @@ bool InstanceState::scale_utility(ThreadId id, double factor) {
     combined *= scaled->factor();
     base = scaled->base();
   }
-  threads_[*index].second =
+  auto rescaled =
       std::make_shared<util::ScaledUtility>(std::move(base), combined);
+  require_finite(*rescaled);
+  threads_[*index].second = std::move(rescaled);
   ++version_;
   return true;
 }

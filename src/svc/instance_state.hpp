@@ -58,21 +58,24 @@ class InstanceState {
   /// the deltas applied since their last snapshot.
   [[nodiscard]] std::uint64_t version() const noexcept { return version_; }
 
-  /// Adds a thread (utility domain must cover the capacity; throws
-  /// std::invalid_argument otherwise) and returns its fresh id. Ids are
-  /// never reused.
+  /// Adds a thread (utility domain must cover the capacity and f(C) be
+  /// finite; throws std::invalid_argument otherwise) and returns its fresh
+  /// id. Ids are never reused.
   ThreadId add_thread(util::UtilityPtr utility);
 
   /// Removes a thread; false when the id is unknown.
   bool remove_thread(ThreadId id);
 
   /// Replaces a thread's utility; false when the id is unknown. Throws
-  /// std::invalid_argument when the new domain is too small.
+  /// std::invalid_argument, leaving the state as it was, when the new
+  /// domain is too small or f(C) is not finite.
   bool update_utility(ThreadId id, util::UtilityPtr utility);
 
   /// Rescales a thread's utility by `factor` >= 0 (drift in the Section
   /// VIII sense). Wraps in util::ScaledUtility, collapsing nested wrappers
   /// so long drift streams stay O(1) deep. False when the id is unknown.
+  /// Throws std::invalid_argument, leaving the state as it was, when the
+  /// rescaled f(C) is not finite.
   bool scale_utility(ThreadId id, double factor);
 
   /// The utility behind an id, or nullptr.
@@ -92,6 +95,7 @@ class InstanceState {
  private:
   [[nodiscard]] std::optional<std::size_t> index_of(ThreadId id) const;
   void require_domain(const util::UtilityPtr& utility) const;
+  void require_finite(const util::UtilityFunction& utility) const;
 
   std::size_t num_servers_;
   util::Resource capacity_;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <iterator>
+#include <stdexcept>
 #include <type_traits>
 #include <utility>
 
@@ -31,6 +32,28 @@ double ms_between(std::chrono::steady_clock::time_point from,
 void merge_into(JsonValue& reply, JsonValue&& payload) {
   for (auto& [key, value] : payload.as_object()) {
     reply.set(std::move(key), std::move(value));
+  }
+}
+
+/// A reply's wire text. A reply that cannot render (a utility sum that
+/// overflowed to inf) goes out as an `internal` error with the same op,
+/// tag and rid, so the client still gets one reply per request.
+std::string render_reply(const JsonValue& reply) {
+  try {
+    return reply.dump();
+  } catch (const std::exception& error) {
+    obs::count(obs::metric::kSvcInternalErrors);
+    const auto text = [&reply](std::string_view key) {
+      const JsonValue* node = reply.find(key);
+      return node != nullptr && node->is_string() ? node->as_string()
+                                                  : std::string();
+    };
+    JsonValue failed = make_error_reply(
+        error_code::kInternal,
+        std::string("reply could not be rendered: ") + error.what(),
+        text("op"), text("tag"));
+    if (const JsonValue* rid = reply.find("rid")) failed.set("rid", *rid);
+    return failed.dump();
   }
 }
 
@@ -294,7 +317,7 @@ void Service::deliver_in_order(Shard& shard, std::uint64_t seq,
   std::vector<std::pair<ReplyFn, std::string>> rendered;
   rendered.reserve(outgoing.size());
   for (Outgoing& out : outgoing) {
-    rendered.emplace_back(std::move(out.reply), out.value.dump());
+    rendered.emplace_back(std::move(out.reply), render_reply(out.value));
   }
 
   support::MutexLock lock(shard.deliver_mutex);
@@ -852,6 +875,10 @@ std::vector<Service::Outgoing> Service::process_batch(
             break;
         }
       }
+    } catch (const std::invalid_argument& error) {
+      // A delta the instance state refuses, e.g. a non-finite f(C).
+      reply = make_error_reply(error_code::kBadRequest, error.what(),
+                               op_name(request.op), request.tag);
     } catch (const std::exception& error) {
       reply = make_error_reply(error_code::kInternal, error.what(),
                                op_name(request.op), request.tag);

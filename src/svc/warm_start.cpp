@@ -3,16 +3,15 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <optional>
 #include <utility>
 
 #include "aa/algorithm2.hpp"
 #include "aa/certify.hpp"
 #include "aa/online.hpp"
-#include "aa/refine.hpp"
-#include "alloc/super_optimal.hpp"
+#include "aa/pipeline.hpp"
 #include "obs/registry.hpp"
 #include "obs/session.hpp"
-#include "utility/linearized.hpp"
 
 namespace aa::svc {
 
@@ -27,15 +26,6 @@ constexpr std::size_t kNoServer = static_cast<std::size_t>(-1);
 /// Relative slack on F_hat when ruling the fresh candidate out: covers the
 /// rounding of the two utility sums, far below any hysteresis in use.
 constexpr double kFreshBoundSlack = 1e-9;
-
-double linearized_total(const std::vector<util::Linearized>& linearized,
-                        const core::Assignment& assignment) {
-  double total = 0.0;
-  for (std::size_t i = 0; i < linearized.size(); ++i) {
-    total += linearized[i].value(assignment.alloc[i]);
-  }
-  return total;
-}
 
 /// The warm placement: surviving threads pinned to their previous server
 /// in nonincreasing-peak order, each taking min(c_hat_i, remaining); new
@@ -98,12 +88,6 @@ const char* solve_path_name(SolvePath path) noexcept {
 WarmStartSolver::WarmStartSolver(WarmStartConfig config)
     : config_(config) {}
 
-void WarmStartSolver::reset() {
-  have_previous_ = false;
-  solved_version_ = 0;
-  previous_ = ServiceSolveResult{};
-}
-
 bool WarmStartSolver::deltas_exceed_threshold(std::uint64_t deltas,
                                               std::size_t num_threads) const {
   const double fraction_limit =
@@ -152,91 +136,63 @@ const ServiceSolveResult& WarmStartSolver::solve(const InstanceState& state,
   const core::Instance instance = state.to_instance(&solved.ids);
   const std::size_t n = instance.num_threads();
   const core::CertifyOptions certify_options{/*check_concavity=*/false};
-
-  // Empty instance: a trivial (vacuously certified) solution.
-  if (n == 0) {
-    solved.result = core::SolveResult{};
-    solved.path = SolvePath::kFull;
-    solved.certificate = core::certify(instance, solved.result,
-                                       kFullSolverLabel, certify_options);
-    return remember(std::move(solved), version);
-  }
-
   const std::uint64_t deltas =
       have_previous_ ? version - solved_version_ : version;
-  const bool must_resolve = force_full || !have_previous_ ||
+  // An empty instance has nothing to pin: its full solve is vacuous.
+  const bool must_resolve = force_full || !have_previous_ || n == 0 ||
                             deltas_exceed_threshold(deltas, n);
   const std::vector<std::size_t> previous = previous_servers(solved.ids);
 
-  if (must_resolve) {
-    solved.result = core::solve_algorithm2_refined(instance);
+  // Both candidates share one relaxation: the super-optimal allocation and
+  // the linearization certify the *current* utilities. Each candidate is
+  // its placement, finished and refined on it.
+  core::Relaxation relaxed = core::relax(instance);
+  const auto candidate = [&](core::Assignment placement,
+                             std::vector<util::Resource> c_hat) {
+    return core::refine(
+        instance, core::finish(instance, std::move(placement),
+                               relaxed.linearized, std::move(c_hat),
+                               relaxed.f_hat));
+  };
+
+  std::optional<core::SolveResult> warm;
+  obs::Certificate warm_certificate;
+  if (!must_resolve) {
+    obs::ScopedPhase warm_phase(obs::metric::kPhaseSvcWarmCandidate);
+    warm = candidate(pin_previous(instance, relaxed.linearized, previous),
+                     std::move(relaxed.c_hat));
+    warm_certificate =
+        core::certify(instance, *warm, kWarmSolverLabel, certify_options);
+  }
+  // kSticky rule: keep the pinned placement unless the fresh one beats it
+  // by more than the hysteresis — but only when the warm candidate can
+  // certify its own 0.828 bound; otherwise fall back to Algorithm 2, whose
+  // bound is Theorem VI.1. The fresh candidate scores at most F_hat (Lemma
+  // V.2), so it is built only when F_hat leaves it room.
+  const auto keeps_warm = [&](double fresh_utility) {
+    return warm.has_value() && warm_certificate.ok() &&
+           !core::sticky_should_migrate(fresh_utility, warm->utility,
+                                        config_.hysteresis);
+  };
+  std::optional<core::SolveResult> fresh;
+  if (!keeps_warm(relaxed.f_hat +
+                  kFreshBoundSlack * std::abs(relaxed.f_hat))) {
+    if (warm) obs::count(obs::metric::kSvcFreshCandidates);
+    fresh = candidate(core::assign_algorithm2(instance, relaxed.linearized),
+                      warm ? warm->c_hat : std::move(relaxed.c_hat));
+  }
+  if (!fresh || keeps_warm(fresh->utility)) {
+    solved.result = std::move(*warm);
+    solved.path = SolvePath::kWarm;
+    solved.certificate = std::move(warm_certificate);
+  } else {
+    if (warm && !warm_certificate.ok()) {
+      obs::count(obs::metric::kSvcWarmCertificateRejects);
+    }
+    solved.result = std::move(*fresh);
     solved.path = SolvePath::kFull;
     solved.certificate = core::certify(instance, solved.result,
                                        kFullSolverLabel, certify_options);
-  } else {
-    // Shared prefix of both candidates: the super-optimal allocation and
-    // the two-segment linearization certify the *current* utilities.
-    alloc::SuperOptimalResult super =
-        alloc::super_optimal(instance.threads, instance.num_servers,
-                             instance.capacity);
-    const std::vector<util::Linearized> linearized =
-        util::linearize(instance.threads, super.c_hat);
-
-    core::SolveResult warm;
-    obs::Certificate warm_certificate;
-    {
-      obs::ScopedPhase warm_phase(obs::metric::kPhaseSvcWarmCandidate);
-      const core::Assignment warm_raw =
-          pin_previous(instance, linearized, previous);
-      warm.linearized_utility = linearized_total(linearized, warm_raw);
-      warm.assignment = core::reoptimize_allocations(instance, warm_raw);
-      warm.utility = core::total_utility(instance, warm.assignment);
-      warm.super_optimal_utility = super.utility;
-      warm.c_hat = std::move(super.c_hat);
-      warm_certificate =
-          core::certify(instance, warm, kWarmSolverLabel, certify_options);
-    }
-
-    // kSticky rule: keep the pinned placement unless the fresh one beats it
-    // by more than the hysteresis — but only when the warm candidate can
-    // certify its own 0.828 bound; otherwise fall back to Algorithm 2,
-    // whose bound is Theorem VI.1. The fresh candidate scores at most
-    // F_hat (Lemma V.2), so it is built only when F_hat leaves it room.
-    const double fresh_bound =
-        super.utility + kFreshBoundSlack * std::abs(super.utility);
-    bool keep_warm =
-        warm_certificate.ok() &&
-        !core::sticky_should_migrate(fresh_bound, warm.utility,
-                                     config_.hysteresis);
-    core::SolveResult fresh;
-    if (!keep_warm) {
-      obs::count(obs::metric::kSvcFreshCandidates);
-      // Fresh candidate: Algorithm 2's placement on the shared
-      // linearization.
-      const core::Assignment fresh_raw =
-          core::assign_algorithm2(instance, linearized);
-      fresh.linearized_utility = linearized_total(linearized, fresh_raw);
-      fresh.assignment = core::reoptimize_allocations(instance, fresh_raw);
-      fresh.utility = core::total_utility(instance, fresh.assignment);
-      fresh.super_optimal_utility = super.utility;
-      keep_warm = warm_certificate.ok() &&
-                  !core::sticky_should_migrate(fresh.utility, warm.utility,
-                                               config_.hysteresis);
-    }
-    if (keep_warm) {
-      solved.result = std::move(warm);
-      solved.path = SolvePath::kWarm;
-      solved.certificate = std::move(warm_certificate);
-    } else {
-      fresh.c_hat = std::move(warm.c_hat);
-      solved.result = std::move(fresh);
-      solved.path = SolvePath::kFull;
-      solved.certificate = core::certify(instance, solved.result,
-                                         kFullSolverLabel, certify_options);
-      if (!warm_certificate.ok()) {
-        obs::count(obs::metric::kSvcWarmCertificateRejects);
-      }
-    }
   }
   solved.migrations = count_migrations(previous, solved.result.assignment);
 

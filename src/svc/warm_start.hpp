@@ -11,18 +11,22 @@
 //
 //   kCached — the state version is unchanged since the last solve: the
 //             previous result (and its certificate) is returned as-is.
-//   kWarm   — few deltas: recompute the super-optimal allocation and the
-//             Equation-1 linearization (they certify the new utilities),
-//             but pin every surviving thread to its previous server, give
-//             it min(c_hat_i, remaining) in nonincreasing-peak order, place
-//             only new threads on the least-loaded servers, and re-optimize
-//             allocations per server. Zero migrations by construction.
-//   kFull   — a fresh Algorithm-2 placement. Taken when deltas since the
-//             last solve exceed the configured threshold, when there is no
-//             previous solution, on mode=full requests, when the warm
-//             candidate's approximation certificate fails, or when the
-//             fresh candidate beats the warm one by more than the kSticky
-//             hysteresis (aa::core::sticky_should_migrate).
+//   kWarm   — few deltas: the pinned candidate. Every surviving thread
+//             stays on its previous server, taking min(c_hat_i, remaining)
+//             in nonincreasing-peak order; new threads fill the
+//             least-loaded servers. Zero migrations by construction.
+//   kFull   — the fresh candidate: Algorithm 2's placement. Taken when
+//             deltas since the last solve exceed the configured threshold,
+//             when there is no previous solution, on mode=full requests,
+//             when the warm candidate's approximation certificate fails,
+//             or when the fresh candidate beats the warm one by more than
+//             the kSticky hysteresis (aa::core::sticky_should_migrate).
+//
+// Both candidates run the batch solvers' pipeline (aa/pipeline.hpp) on one
+// relaxation per solve: relax once, then each candidate's placement is
+// finished and refined, with the refine stage's guard, exactly as
+// solve_algorithm2_refined does. The fresh candidate, on the full path or
+// as a fallback, is therefore bit for bit the batch solver's answer.
 //
 // A warm attempt builds the warm candidate first and the fresh one only
 // when it could win. Any feasible placement, the fresh one included, is at
@@ -36,7 +40,9 @@
 // after any delta, so the 0.828 guarantee in replies is never claimed from
 // stale data. The warm path has no a-priori ratio theorem; it is accepted
 // only if its certificate chain verifies, with kFull as the fallback, so
-// warm-start utility is never below alpha * F_hat.
+// warm-start utility is never below alpha * F_hat. Each non-cached solve
+// records that one reply certificate (`svc_warm` or `svc_full`) on the
+// installed obs session.
 
 #include <cstddef>
 #include <cstdint>
@@ -78,21 +84,18 @@ struct ServiceSolveResult {
 /// Not thread-safe by itself: like InstanceState, a WarmStartSolver is a
 /// Tenant member reached only through Shard::tenants, which is
 /// AA_GUARDED_BY the owning shard's turn_mutex (service.hpp). The turn
-/// lock serializes every solve() and reset(); no support/sync.hpp
-/// annotations appear here because the analysis cannot see through the
-/// tenant map to these members.
+/// lock serializes every solve(); no support/sync.hpp annotations appear
+/// here because the analysis cannot see through the tenant map to these
+/// members.
 class WarmStartSolver {
  public:
   explicit WarmStartSolver(WarmStartConfig config = {});
 
   /// Solves the current state. `force_full` skips the cached and warm
   /// paths (protocol mode=full). The result stays valid until the next
-  /// solve() or reset().
+  /// solve().
   [[nodiscard]] const ServiceSolveResult& solve(const InstanceState& state,
                                                 bool force_full = false);
-
-  /// Drops all warm state; the next solve takes the full path.
-  void reset();
 
  private:
   [[nodiscard]] bool deltas_exceed_threshold(std::uint64_t deltas,

@@ -112,6 +112,12 @@ TEST(HeteroUU, RoundRobinWithPerServerShares) {
   EXPECT_DOUBLE_EQ(a.alloc[1], 10.0);  // Server 1: threads 1, 3.
 }
 
+TEST(HeteroUU, RejectsInstanceWithoutServers) {
+  HeteroInstance instance = generated_instance(1, {10}, 7);
+  instance.capacities.clear();
+  EXPECT_THROW((void)heuristic_uu_hetero(instance), std::invalid_argument);
+}
+
 TEST(HeteroExact, RefusesOversizedSearch) {
   const HeteroInstance instance = generated_instance(11, {10, 10}, 6);
   EXPECT_THROW((void)solve_exact_hetero(instance), std::invalid_argument);

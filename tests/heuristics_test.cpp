@@ -6,6 +6,7 @@
 
 #include <memory>
 #include <set>
+#include <stdexcept>
 
 #include "aa/algorithm2.hpp"
 #include "support/prng.hpp"
@@ -148,6 +149,18 @@ TEST(Heuristics, EmptyInstance) {
   support::Rng rng(1);
   EXPECT_TRUE(heuristic_uu(instance).server.empty());
   EXPECT_TRUE(heuristic_rr(instance, rng).server.empty());
+}
+
+// Without servers the round robin and the random pick would divide by zero:
+// each heuristic validates its input as the solvers do.
+TEST(Heuristics, RejectInstanceWithoutServers) {
+  Instance instance = generated_instance(1, 1, 10, 2);
+  instance.num_servers = 0;
+  support::Rng rng(1);
+  EXPECT_THROW((void)heuristic_uu(instance), std::invalid_argument);
+  EXPECT_THROW((void)heuristic_ur(instance, rng), std::invalid_argument);
+  EXPECT_THROW((void)heuristic_ru(instance, rng), std::invalid_argument);
+  EXPECT_THROW((void)heuristic_rr(instance, rng), std::invalid_argument);
 }
 
 }  // namespace

@@ -358,6 +358,63 @@ TEST(ServeBinary, StdioRepliesCarryIncreasingRids) {
   }
 }
 
+/// Runs `lines` through `aa_serve --stdio 1 --batch-max 1 --capacity 64`
+/// (one batch per request) and returns the parsed replies.
+std::vector<JsonValue> serve_stdio(const std::vector<std::string>& lines) {
+  std::string command = "printf '%s\\n'";
+  for (const std::string& line : lines) command += " '" + line + "'";
+  command += std::string(" | ") + kServe +
+             " --stdio 1 --batch-max 1 --capacity 64";
+  const CommandResult run = run_command(command);
+  EXPECT_EQ(run.status, 0) << run.output;
+  std::vector<JsonValue> replies;
+  for (const std::string& text : lines_of(run.output)) {
+    replies.push_back(json_parse(text));
+  }
+  EXPECT_EQ(replies.size(), lines.size()) << run.output;
+  return replies;
+}
+
+// f(C) = 1e308 * sqrt(64) is inf: the delta is refused, and the state (so
+// the next solve) is as if it had never been sent.
+TEST(ServeBinary, NonFiniteThreadIsABadRequest) {
+  const std::vector<JsonValue> replies = serve_stdio(
+      {R"({"op": "add_thread", "thread": {"type": "power", "scale": 1e308, "beta": 0.5}})",
+       R"({"op": "solve"})"});
+  ASSERT_EQ(replies.size(), 2u);
+  EXPECT_EQ(replies[0].at("code").as_string(), "bad_request");
+  EXPECT_TRUE(replies[1].at("certificate_ok").as_bool());
+  EXPECT_EQ(replies[1].at("threads").as_int(), 0);
+}
+
+TEST(ServeBinary, NonFiniteScaleFactorIsABadRequest) {
+  const std::vector<JsonValue> replies = serve_stdio(
+      {kAddPower, R"({"op": "update_utility", "id": 1, "factor": 1e308})",
+       R"({"op": "solve"})"});
+  ASSERT_EQ(replies.size(), 3u);
+  EXPECT_EQ(replies[1].at("code").as_string(), "bad_request");
+  EXPECT_TRUE(replies[2].at("certificate_ok").as_bool());
+  EXPECT_EQ(replies[2].at("utility").as_number(), 8.0);  // 1.0 * sqrt(64).
+}
+
+// Each f(C) = 1e308 is finite, their sum is not: the solve reply cannot
+// render, goes out as an internal error with its rid, and the service
+// keeps answering.
+TEST(ServeBinary, UnrenderableReplyIsAnInternalErrorWithItsRid) {
+  constexpr const char* kHuge =
+      R"({"op": "add_thread", "thread": {"type": "power", "scale": 1.25e307, "beta": 0.5}})";
+  const std::vector<JsonValue> replies = serve_stdio(
+      {kHuge, kHuge, R"({"op": "solve", "tag": "t"})", kAddPower});
+  ASSERT_EQ(replies.size(), 4u);
+  const JsonValue& failed = replies[2];
+  EXPECT_EQ(failed.at("code").as_string(), "internal");
+  EXPECT_EQ(failed.at("op").as_string(), "solve");
+  EXPECT_EQ(failed.at("tag").as_string(), "t");
+  EXPECT_EQ(failed.at("rid").as_int(), replies[1].at("rid").as_int() + 1);
+  EXPECT_TRUE(replies[3].at("ok").as_bool());
+  EXPECT_EQ(replies[3].at("threads").as_int(), 3);
+}
+
 std::string read_file(const std::string& path) {
   std::ifstream in(path);
   std::stringstream buffer;
@@ -421,6 +478,49 @@ TEST(ServeBinary, MetricsBlobCarriesTheServiceStats) {
     EXPECT_EQ(counters.find(name), nullptr) << name;
   }
   EXPECT_EQ(blob.find("histograms"), nullptr);
+}
+
+// A warm or full solve runs the pipeline once and records its own reply
+// certificate, and nothing else: one certificate per non-cached reply, and
+// as many linearizations as super-optimal allocations.
+TEST(ServeBinary, MetricsBlobHoldsOneCertificatePerSolveReply) {
+  const std::string blob_file = socket_path("certs") + ".metrics.json";
+  const std::string script =
+      std::string(kAddPower) + "\\n" + kAddPower + "\\n" +
+      R"({"op": "solve"})"
+      "\\n"
+      R"({"op": "update_utility", "id": 1, "factor": 1.1})"
+      "\\n"
+      R"({"op": "solve"})"
+      "\\n"
+      R"({"op": "solve"})"
+      "\\n"
+      R"({"op": "solve", "mode": "full"})";
+  const CommandResult run =
+      run_command("printf '" + script + "\\n' | " + kServe +
+                  " --stdio 1 --batch-max 1 --metrics " + blob_file);
+  ASSERT_EQ(run.status, 0) << run.output;
+  const std::vector<std::string> replies = lines_of(run.output);
+  ASSERT_EQ(replies.size(), 7u) << run.output;
+  std::vector<std::string> paths;
+  for (const std::size_t i : {2u, 4u, 5u, 6u}) {
+    paths.push_back(json_parse(replies[i]).at("path").as_string());
+  }
+  EXPECT_EQ(paths, (std::vector<std::string>{"full", "warm", "cached",
+                                             "full"}));
+
+  const JsonValue blob = json_parse(read_file(blob_file));
+  std::remove(blob_file.c_str());
+  std::vector<std::string> solvers;
+  for (const JsonValue& certificate : blob.at("certificates").as_array()) {
+    solvers.push_back(certificate.at("solver").as_string());
+  }
+  EXPECT_EQ(solvers, (std::vector<std::string>{"svc_full", "svc_warm",
+                                               "svc_full"}));
+  const JsonValue& timers = blob.at("timers");
+  EXPECT_EQ(timers.at("super_optimal").at("count").as_int(), 3);
+  EXPECT_EQ(timers.at("linearize").at("count").as_int(), 3);
+  EXPECT_EQ(blob.at("counters").find("alg2/solves"), nullptr);
 }
 
 // The acceptance chain across real processes: aa_loadgen's client-side

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <stdexcept>
 
 #include "aa/problem.hpp"
@@ -59,6 +60,23 @@ TEST(InstanceState, RejectsUtilityWithTooSmallDomain) {
                std::invalid_argument);
   // A larger domain than the capacity is fine.
   EXPECT_TRUE(state.update_utility(id, power(1.0, 0.5, 128)));
+}
+
+TEST(InstanceState, RejectsNonFiniteUtilityAndLeavesStateUnchanged) {
+  InstanceState state(2, 64);
+  // f(64) = 1e308 * 8 overflows to inf.
+  EXPECT_THROW((void)state.add_thread(power(1e308, 0.5, 64)),
+               std::invalid_argument);
+  EXPECT_EQ(state.num_threads(), 0u);
+  const ThreadId id = state.add_thread(power(1.0, 0.5, 64));
+  EXPECT_THROW((void)state.update_utility(id, power(1e308, 0.5, 64)),
+               std::invalid_argument);
+  // Each factor is finite; their product with f(C) = 8 is not.
+  ASSERT_TRUE(state.scale_utility(id, 1e200));
+  const std::uint64_t version = state.version();
+  EXPECT_THROW((void)state.scale_utility(id, 1e200), std::invalid_argument);
+  EXPECT_EQ(state.version(), version);
+  EXPECT_DOUBLE_EQ((*state.find(id))->value(64.0), 8e200);
 }
 
 TEST(InstanceState, ScaleMultipliesValuesAndCollapsesNesting) {

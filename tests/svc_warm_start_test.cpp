@@ -133,16 +133,6 @@ TEST(WarmStartSolver, ManyDeltasForceFullResolve) {
   expect_certified(state, solved, "past delta threshold");
 }
 
-TEST(WarmStartSolver, ResetDropsWarmState) {
-  support::Rng rng(5);
-  InstanceState state = seeded_state(6, rng);
-  WarmStartSolver solver;
-  (void)solver.solve(state);
-  solver.reset();
-  const ServiceSolveResult solved = solver.solve(state);
-  EXPECT_EQ(solved.path, SolvePath::kFull);
-}
-
 /// One random delta; returns true when it changed the state.
 bool apply_random_delta(InstanceState& state, support::Rng& rng,
                         double drift_low, double drift_high) {
@@ -352,6 +342,66 @@ TEST_P(WarmStartProperty, FreshCandidateSkipMatchesTheBuildBothRule) {
     previous = placement_of(solved);
   }
   EXPECT_TRUE(saw_warm) << "delta mix never exercised the warm path";
+}
+
+std::uint64_t bits_of(double value) {
+  std::uint64_t bits = 0;
+  std::memcpy(&bits, &value, sizeof bits);
+  return bits;
+}
+
+/// Every field of two results, doubles compared bit for bit.
+void expect_same_result(const core::SolveResult& got,
+                        const core::SolveResult& want,
+                        const std::string& context) {
+  EXPECT_EQ(got.assignment.server, want.assignment.server) << context;
+  ASSERT_EQ(got.assignment.alloc.size(), want.assignment.alloc.size())
+      << context;
+  for (std::size_t i = 0; i < want.assignment.alloc.size(); ++i) {
+    EXPECT_EQ(bits_of(got.assignment.alloc[i]),
+              bits_of(want.assignment.alloc[i]))
+        << context << " thread " << i;
+  }
+  EXPECT_EQ(bits_of(got.utility), bits_of(want.utility)) << context;
+  EXPECT_EQ(bits_of(got.linearized_utility),
+            bits_of(want.linearized_utility))
+      << context;
+  EXPECT_EQ(bits_of(got.super_optimal_utility),
+            bits_of(want.super_optimal_utility))
+      << context;
+  EXPECT_EQ(got.c_hat, want.c_hat) << context;
+}
+
+// The service's full path is the batch solver: whether the delta rule or
+// mode=full forced it, or the fresh candidate won a warm attempt, the
+// reply's result is solve_algorithm2_refined's on the same state.
+TEST_P(WarmStartProperty, FullPathMatchesTheBatchSolver) {
+  support::Rng rng(GetParam() + 3000);
+  InstanceState state = seeded_state(6 + rng.uniform_below(10), rng);
+  WarmStartSolver solver;
+  std::size_t forced = 0;
+  std::size_t fallbacks = 0;
+  for (int round = 0; round < 60; ++round) {
+    // At most 3 deltas, under the threshold of 8: an unforced full solve
+    // after the first is the fresh candidate's fallback.
+    const bool swing = rng.uniform01() < 0.3;
+    const std::size_t deltas = 1 + rng.uniform_below(3);
+    for (std::size_t d = 0; d < deltas; ++d) {
+      (void)apply_random_delta(state, rng, swing ? 0.1 : 0.9,
+                               swing ? 6.0 : 1.1);
+    }
+    const bool force_full = round == 0 || rng.uniform01() < 0.15;
+    const ServiceSolveResult& solved = solver.solve(state, force_full);
+    if (solved.path != SolvePath::kFull) continue;
+    ++(force_full ? forced : fallbacks);
+    expect_same_result(solved.result,
+                       core::solve_algorithm2_refined(state.to_instance()),
+                       "seed " + std::to_string(GetParam()) + " round " +
+                           std::to_string(round) +
+                           (force_full ? " forced" : " fallback"));
+  }
+  EXPECT_GT(forced, 0u);
+  EXPECT_GT(fallbacks, 0u) << "the fresh candidate never won a warm attempt";
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, WarmStartProperty,
